@@ -55,11 +55,9 @@ from .analysis import (
 from .core import (
     ENGINE_CHOICES,
     SimulationConfig,
-    set_batch_limit,
     set_default_engine,
     simulate,
 )
-from .core.batchengine import DEFAULT_BATCH_LANES
 from .experiments import EXPERIMENTS, experiment_ids, run_experiment
 from .obs import (
     TimelineProbe,
@@ -152,16 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pool-rebuilds", type=int, default=None, metavar="N",
         help="worker-pool rebuilds tolerated per campaign before the "
         "lost jobs are failed (default: 3)",
-    )
-    batch_mode = run_p.add_mutually_exclusive_group()
-    batch_mode.add_argument(
-        "--batch", dest="batch", action="store_true", default=None,
-        help="force batched lockstep dispatch of eligible sweep jobs "
-        "(default: on, see REPRO_BATCH)",
-    )
-    batch_mode.add_argument(
-        "--no-batch", dest="batch", action="store_false",
-        help="run every sweep job individually",
     )
     fail_mode = run_p.add_mutually_exclusive_group()
     fail_mode.add_argument(
@@ -390,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINE_CHOICES, default="auto",
-        help="simulator engine: 'auto' dispatches eligible configs to "
-        "the vectorized fast engine, 'reference'/'fast' force one "
-        "(default: auto)",
+        help="simulator engine: 'auto' and 'reference' run the list-based "
+        "tick loop; 'fast' runs the numpy engine, which only wins on wide, "
+        "all-hit machines (default: auto)",
     )
     parser.add_argument(
         "--no-result-cache", action="store_true",
@@ -492,11 +480,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     prev_store = set_store_default(args.store) if args.store else None
     prev_exec = set_execution_defaults(**exec_overrides)
     prev_tele = set_telemetry_defaults(**tele_overrides)
-    prev_batch = (
-        set_batch_limit(DEFAULT_BATCH_LANES if args.batch else 1)
-        if args.batch is not None
-        else None
-    )
     try:
         if args.resume is not None:
             return _cmd_resume(args)
@@ -535,8 +518,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             set_store_default(prev_store)
         set_execution_defaults(**prev_exec)
         set_telemetry_defaults(**prev_tele)
-        if args.batch is not None:
-            set_batch_limit(prev_batch)
     if args.report:
         from .analysis import write_report
 

@@ -2,7 +2,7 @@
 
 The benchmark suite leaves machine-readable result files next to the
 repo root (``BENCH_engine.json``, ``BENCH_sweep.json``,
-``BENCH_batch.json``, ``BENCH_obs.json``), but until now nothing
+``BENCH_obs.json``), but until now nothing
 *compared* them across commits — the perf trajectory was invisible.
 This module closes the loop:
 
@@ -52,7 +52,6 @@ BASELINE_SCHEMA = "repro.bench.baseline/v1"
 SUITES = {
     "engine": "BENCH_engine.json",
     "sweep": "BENCH_sweep.json",
-    "batch": "BENCH_batch.json",
     "obs": "BENCH_obs.json",
 }
 
@@ -64,9 +63,10 @@ GATED_METRICS: dict[str, dict[str, str]] = {
     "engine": {
         "miss_bound.ff_speedup": "higher",
         "hit_heavy.ff_speedup": "higher",
+        "miss_bound_reference.ff_speedup": "higher",
+        "hit_heavy_reference.ff_speedup": "higher",
     },
     "sweep": {"cache_speedup": "higher", "dispatch_speedup": "higher"},
-    "batch": {"batch_speedup": "higher"},
     "obs": {
         "fast.overhead_fraction": "ceiling",
         "reference.overhead_fraction": "ceiling",

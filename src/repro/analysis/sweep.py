@@ -54,7 +54,6 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..core import SimulationConfig, SimulationResult
-from ..core.batchengine import batch_limit, batch_supported, simulate_batch
 from ..core.fastengine import default_engine, resolve_engine, simulate
 from ..core.metrics import (
     histogram_from_json,
@@ -594,14 +593,7 @@ class SweepRecord:
     :attr:`failed` before aggregating.
 
     ``ff_elided_fraction`` is the fraction of simulated ticks elided by
-    quiescent-interval fast-forward — deterministic for a (spec,
-    config), identical between batched and solo execution, and cached
-    like any other metric. ``batched`` instead describes *this* run's
-    execution path (the job ran as a lane of a lockstep batch), so it
-    is excluded from record equality and from the result cache: a
-    replayed record always reports ``batched=False``. Together the two
-    columns let a reducer attribute wall-time wins to fast-forward vs.
-    batching.
+    quiescent-interval fast-forward, cached like any other metric.
     """
 
     job: SweepJob
@@ -617,7 +609,6 @@ class SweepRecord:
     wall_time_s: float
     ff_elided_fraction: float = 0.0
     cached: bool = False
-    batched: bool = field(default=False, compare=False)
     payload: SweepPayload | None = None
     error: SweepError | None = None
 
@@ -655,6 +646,8 @@ class SweepRecord:
         payload: SweepPayload | None = None,
         batched: bool = False,
     ) -> "SweepRecord":
+        # ``batched`` is accepted and ignored: no job runs in lockstep
+        # any more, and the end-to-end benchmark still passes it.
         return cls(
             job=job,
             makespan=result.makespan,
@@ -668,7 +661,6 @@ class SweepRecord:
             evictions=result.evictions,
             wall_time_s=result.wall_time_s,
             ff_elided_fraction=result.ff_elided_fraction,
-            batched=batched,
             payload=payload,
         )
 
@@ -694,7 +686,6 @@ class SweepRecord:
             "evictions": self.evictions,
             "wall_time_s": round(self.wall_time_s, 6),
             "ff_elided_fraction": round(self.ff_elided_fraction, 4),
-            "batched": self.batched,
             "cached": self.cached,
             "failed": self.failed,
             "error": self.error.error_type if self.error is not None else "",
@@ -816,12 +807,9 @@ def _run_job(
                 workload = job.workload.build(cache)
                 build_s = time.perf_counter() - build_start
                 record_phase("workload_build", build_s)
-                # Dispatch through the engine selector: eligible (LRU,
-                # protected, disjoint) configs take the vectorized fast
-                # path, everything else falls back to the reference
-                # engine with identical results. The Workload object is
-                # passed whole so its build-time attestation replaces
-                # the per-dispatch disjointness scan.
+                # Dispatch through the engine selector. The Workload
+                # object is passed whole so its build-time attestation
+                # replaces the per-dispatch disjointness scan.
                 config, probe = _engine_config(job)
                 result = simulate(workload, config, engine=_WORKER_ENGINE)
                 payload = SweepPayload.from_result(job.payload, result, probe)
@@ -879,153 +867,13 @@ def _attach_piggyback(
         manifest["warnings"] = warnings
 
 
-class _BatchAbort:
-    """Sentinel outcome: the shared batch deadline fired before this
-    lane got a verdict.
-
-    A batch runs under ONE ``job_timeout`` deadline (lockstep wall time
-    is common to every lane), so an overrun is not attributable to any
-    single lane. Charging it to each lane's retry budget would let one
-    slow batchmate permanently fail innocent jobs, so the parent reruns
-    every aborted lane *solo at the same attempt number*; only the solo
-    verdict — where the deadline measures that job alone — counts.
-    """
-
-
-_BATCH_ABORT = _BatchAbort()
-
-
-def _run_batch(
-    jobs: Sequence[SweepJob],
-    attempts: Sequence[int],
-    timeout: float | None = None,
-) -> list[tuple[SweepRecord, dict[str, Any]] | SweepError | _BatchAbort]:
-    """Execute one lockstep attempt over a formed batch of jobs.
-
-    Returns one outcome per lane, positionally aligned with ``jobs`` —
-    the same ``(record, manifest) | SweepError`` contract as
-    :func:`_run_job`, so the parent treats a failed lane exactly like a
-    failed single job (it retries it solo, where every semantic is the
-    proven single path). Injected faults and workload-build errors are
-    confined to their lane; engine-level lane errors come back through
-    ``simulate_batch(..., return_exceptions=True)`` without discarding
-    batchmates' results. The whole batch runs under one deadline — an
-    overrun yields :data:`_BATCH_ABORT` for each still-unfinished lane,
-    which the parent reruns solo without consuming retry budget.
-    """
-    outcomes: list[Any] = [None] * len(jobs)
-    lane_jobs: list[int] = []
-    lane_items: list[tuple[Any, SimulationConfig]] = []
-    lane_probes: list[Any] = []
-    lane_builds: list[float] = []
-    lane_results: list[Any] = []
-    registry, previous, heartbeat = _begin_collection(
-        f"batch[{len(jobs)}]:{jobs[0].tag}", max(attempts)
-    )
-    try:
-        try:
-            with _job_deadline(timeout):
-                cache = (
-                    WorkloadCache(_WORKER_CACHE_DIR) if _WORKER_CACHE_DIR else None
-                )
-                for k, (job, attempt) in enumerate(zip(jobs, attempts)):
-                    try:
-                        maybe_inject(job.tag, attempt)
-                        build_start = time.perf_counter()
-                        workload = job.workload.build(cache)
-                        build_s = time.perf_counter() - build_start
-                        record_phase("workload_build", build_s)
-                        config, probe = _engine_config(job)
-                    except JobTimeout:
-                        raise
-                    except Exception as exc:
-                        outcomes[k] = SweepError(
-                            kind="exception",
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            traceback=traceback_mod.format_exc(),
-                            attempts=attempt,
-                        )
-                    else:
-                        lane_jobs.append(k)
-                        lane_items.append((workload, config))
-                        lane_probes.append(probe)
-                        lane_builds.append(build_s)
-                lane_results = simulate_batch(
-                    lane_items, engine=_WORKER_ENGINE, return_exceptions=True
-                )
-        except JobTimeout:
-            for k in range(len(jobs)):
-                if outcomes[k] is None:
-                    outcomes[k] = _BATCH_ABORT
-            return outcomes
-        host = host_info()
-        for lane, k in enumerate(lane_jobs):
-            job = jobs[k]
-            attempt = attempts[k]
-            result = lane_results[lane]
-            if isinstance(result, Exception):
-                outcomes[k] = SweepError(
-                    kind="exception",
-                    error_type=type(result).__name__,
-                    message=str(result),
-                    traceback="".join(
-                        traceback_mod.format_exception(
-                            type(result), result, result.__traceback__
-                        )
-                    ),
-                    attempts=attempt,
-                )
-                continue
-            workload, config = lane_items[lane]
-            payload = SweepPayload.from_result(job.payload, result, lane_probes[lane])
-            engine_name = resolve_engine(workload, config, _WORKER_ENGINE)
-            if engine_name == "fast" and batch_supported(config, workload.attestation):
-                engine_name = "batch"
-            # ``batched`` marks lanes that actually ran in lockstep;
-            # ineligible lanes fell back to solo simulate() inside the
-            # batch unit and report False like any single job.
-            record = SweepRecord.from_result(
-                job, result, payload, batched=engine_name == "batch"
-            )
-            manifest = {
-                "schema": MANIFEST_SCHEMA,
-                "engine": engine_name,
-                "host": host,
-                "timings": {
-                    "workload_build_s": round(lane_builds[lane], 6),
-                    "run_s": round(result.wall_time_s, 6),
-                },
-                "execution": {
-                    "attempt": attempt,
-                    "batch_lanes": len(jobs),
-                    "batch_lane": k,
-                },
-            }
-            outcomes[k] = (record, manifest)
-        # The batch shares one registry, so its delta (and any buffered
-        # warnings) ride exactly one lane's manifest — the first that
-        # succeeded. A fully failed batch keeps warnings buffered for
-        # the worker's next outcome.
-        carrier = next((o for o in outcomes if isinstance(o, tuple)), None)
-        if carrier is not None:
-            _attach_piggyback(carrier[1], registry)
-        return outcomes
-    finally:
-        _end_collection(registry, previous, heartbeat)
-
-
 #: SweepRecord fields persisted by the result cache as plain scalars
 #: (the job is supplied by the caller on a hit; the payload has its own
 #: JSON encoding; errors are excluded because failed records are never
 #: cached — including the field would also invalidate every pre-error
-#: cache entry via the all-fields-present check below; ``batched`` is
-#: execution metadata, not a result, and caching it would make batch
-#: and solo runs write different entries for the same (spec, config)).
+#: cache entry via the all-fields-present check below).
 _RESULT_FIELDS = tuple(
-    f.name
-    for f in fields(SweepRecord)
-    if f.name not in ("job", "payload", "error", "batched")
+    f.name for f in fields(SweepRecord) if f.name not in ("job", "payload", "error")
 )
 
 #: spec params that scale simulated work, for the scheduling cost hint
@@ -1272,13 +1120,6 @@ class SweepRunner:
     A dead worker process (``BrokenProcessPool``) never aborts the
     campaign: the pool is rebuilt and only the jobs whose futures were
     lost are resubmitted, up to ``max_pool_rebuilds`` times.
-
-    Cache-miss jobs whose configs are batch-eligible (see
-    :func:`repro.core.batch_supported`) are grouped into lockstep
-    batch units of up to :func:`repro.core.batch_limit` lanes before
-    submission; grouping respects the longest-job-first cost order,
-    records and cache writes are identical to solo execution, and any
-    lane that fails inside a batch is retried as a single job.
     """
 
     def __init__(
@@ -1405,7 +1246,7 @@ class SweepRunner:
         tele = self.telemetry if self.telemetry is not None else default_telemetry()
         self._tele = tele
         # The campaign registry doubles as the parent's active phase
-        # sink: runner phases (cache_probe, batch_form) and — on the
+        # sink: the runner's cache_probe phase and — on the
         # sequential path — engine phases record straight into it.
         previous_registry = (
             set_active_registry(tele.registry) if tele is not None else None
@@ -1770,37 +1611,6 @@ class SweepRunner:
             delay,
         )
 
-    def _batch_plan(self, jobs: Sequence[SweepJob], order: Sequence[int]) -> list[list[int]]:
-        """Group consecutive batch-eligible jobs into submission units.
-
-        Walks ``order`` — already cost-sorted for the pool path, so
-        longest-job-first submission is preserved — chunking runs of
-        eligible jobs (see :func:`repro.core.batchengine.batch_supported`)
-        up to the batch lane cap. Ineligible jobs stay single, and the
-        retry path never re-batches: a failed lane always comes back as
-        a solo job, where every fault-tolerance semantic is the proven
-        single-job path.
-        """
-        limit = batch_limit()
-        if limit < 2 or self.engine == "reference":
-            return [[idx] for idx in order]
-        units: list[list[int]] = []
-        run: list[int] = []
-        for idx in order:
-            if batch_supported(jobs[idx].config):
-                run.append(idx)
-                if len(run) == limit:
-                    units.append(run)
-                    run = []
-            else:
-                if run:
-                    units.append(run)
-                    run = []
-                units.append([idx])
-        if run:
-            units.append(run)
-        return units
-
     def _run_sequential(
         self,
         jobs: Sequence[SweepJob],
@@ -1814,21 +1624,10 @@ class SweepRunner:
         _pool_init(self.cache_dir, self.engine)
         max_attempts = self.retries + 1
         done = 0
-
-        def _complete(idx: int, record: SweepRecord, manifest: dict[str, Any]) -> None:
-            nonlocal done
-            done += 1
-            _store(idx, record, manifest)
-            _progress(done, idx, record)
-
-        def _retry_solo(idx: int, error: SweepError) -> None:
-            """Retry a failed first attempt as a solo job until resolved."""
+        for idx in pending:
             attempt = 1
-            outcome: Any = error
-            while True:
-                if attempt >= max_attempts:
-                    _fail(idx, outcome)
-                    return
+            outcome = _run_job(jobs[idx], attempt, self.job_timeout)
+            while isinstance(outcome, SweepError) and attempt < max_attempts:
                 counters["retried"] += 1
                 if self._tele is not None:
                     self._tele.job_retried()
@@ -1837,30 +1636,13 @@ class SweepRunner:
                 time.sleep(delay)
                 attempt += 1
                 outcome = _run_job(jobs[idx], attempt, self.job_timeout)
-                if not isinstance(outcome, SweepError):
-                    record, manifest = outcome
-                    _complete(idx, record, manifest)
-                    return
-
-        with phase("batch_form"):
-            units = self._batch_plan(jobs, pending)
-        for unit in units:
-            if len(unit) == 1:
-                outcomes: list[Any] = [_run_job(jobs[unit[0]], 1, self.job_timeout)]
+            if isinstance(outcome, SweepError):
+                _fail(idx, outcome)
             else:
-                outcomes = _run_batch(
-                    [jobs[idx] for idx in unit], [1] * len(unit), self.job_timeout
-                )
-            for idx, outcome in zip(unit, outcomes):
-                if isinstance(outcome, _BatchAbort):
-                    # Shared-deadline overrun: rerun solo at the same
-                    # attempt so the batch abort costs no retry budget.
-                    outcome = _run_job(jobs[idx], 1, self.job_timeout)
-                if isinstance(outcome, SweepError):
-                    _retry_solo(idx, outcome)
-                else:
-                    record, manifest = outcome
-                    _complete(idx, record, manifest)
+                record, manifest = outcome
+                done += 1
+                _store(idx, record, manifest)
+                _progress(done, idx, record)
 
     def _make_pool(self, workers: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -1885,23 +1667,19 @@ class SweepRunner:
     ) -> None:
         """Pool execution loop with retries and broken-pool recovery.
 
-        State: ``futures`` maps each in-flight future to the list of
-        ``(job index, attempt)`` entries riding on it — one entry for a
-        solo submission, one per lane for a batched one; ``retry_heap``
-        holds ``(ready_time, index, attempt)`` for jobs waiting out
-        their backoff (retries are always solo). A ``BrokenProcessPool``
-        (worker OOM-killed or died on a signal) marks every unfinished
-        future's entries as *lost*, rebuilds the pool, and resubmits
-        exactly those jobs solo — completed futures keep their results
-        and are drained normally, and records already stored are
-        untouched, so nothing finished is ever re-run.
+        State: ``futures`` maps each in-flight future to its ``(job
+        index, attempt)``; ``retry_heap`` holds ``(ready_time, index,
+        attempt)`` for jobs waiting out their backoff. A
+        ``BrokenProcessPool`` (worker OOM-killed or died on a signal)
+        marks every unfinished future's job as *lost*, rebuilds the
+        pool, and resubmits exactly those jobs — completed futures keep
+        their results and are drained normally, and records already
+        stored are untouched, so nothing finished is ever re-run.
         """
-        with phase("batch_form"):
-            units = self._batch_plan(jobs, order)
-        workers = min(self.processes, len(units))
+        workers = min(self.processes, len(order))
         max_attempts = self.retries + 1
         pool = self._make_pool(workers)
-        futures: dict[Any, list[tuple[int, int]]] = {}
+        futures: dict[Any, tuple[int, int]] = {}
         retry_heap: list[tuple[float, int, int]] = []
         done_count = 0
         lost: list[tuple[int, int]] = []
@@ -1914,29 +1692,10 @@ class SweepRunner:
                 # rebuild pass below picks this job up with the rest.
                 lost.append((idx, attempt))
             else:
-                futures[future] = [(idx, attempt)]
-
-        def _submit_batch(unit: Sequence[int]) -> None:
-            entries = [(idx, 1) for idx in unit]
-            try:
-                future = pool.submit(
-                    _run_batch,
-                    [jobs[idx] for idx in unit],
-                    [1] * len(unit),
-                    self.job_timeout,
-                )
-            except (BrokenProcessPool, RuntimeError):
-                lost.extend(entries)
-            else:
-                futures[future] = entries
+                futures[future] = (idx, attempt)
 
         def _handle(idx: int, attempt: int, outcome: Any) -> None:
             nonlocal done_count
-            if isinstance(outcome, _BatchAbort):
-                # Shared-deadline overrun: resubmit solo at the same
-                # attempt so the batch abort costs no retry budget.
-                _submit(idx, attempt)
-                return
             if isinstance(outcome, SweepError):
                 if attempt >= max_attempts:
                     _fail(idx, outcome)
@@ -1958,7 +1717,7 @@ class SweepRunner:
         def _drain_broken_pool() -> None:
             """Sort surviving results from lost jobs after pool death."""
             nonlocal pool
-            for future, entries in list(futures.items()):
+            for future, (idx, attempt) in list(futures.items()):
                 try:
                     # Completed futures keep their results even after
                     # the pool dies; unfinished ones are flagged
@@ -1967,12 +1726,9 @@ class SweepRunner:
                     # we expect to consume.
                     outcome = future.result(timeout=60)
                 except Exception:
-                    lost.extend(entries)
+                    lost.append((idx, attempt))
                 else:
-                    if len(entries) == 1:
-                        outcome = [outcome]
-                    for (idx, attempt), lane_outcome in zip(entries, outcome):
-                        _handle(idx, attempt, lane_outcome)
+                    _handle(idx, attempt, outcome)
             futures.clear()
             pool.shutdown(wait=False)
             counters["rebuilds"] += 1
@@ -2020,11 +1776,8 @@ class SweepRunner:
                 _submit(idx, attempt)
 
         try:
-            for unit in units:
-                if len(unit) == 1:
-                    _submit(unit[0], 1)
-                else:
-                    _submit_batch(unit)
+            for idx in order:
+                _submit(idx, 1)
             while futures or retry_heap or lost:
                 if lost:
                     _drain_broken_pool()
@@ -2056,30 +1809,23 @@ class SweepRunner:
                     self._tele.tick()
                 broken = False
                 for future in finished:
-                    entries = futures.pop(future)
+                    idx, attempt = futures.pop(future)
                     try:
                         outcome = future.result()
                     except BrokenProcessPool:
-                        lost.extend(entries)
+                        lost.append((idx, attempt))
                         broken = True
                         break
                     except Exception as exc:
                         # Result-transport failures (e.g. unpicklable
-                        # payload) count against each job's retries.
-                        outcome = [
-                            SweepError(
-                                kind="exception",
-                                error_type=type(exc).__name__,
-                                message=str(exc),
-                                attempts=attempt,
-                            )
-                            for _, attempt in entries
-                        ]
-                    else:
-                        if len(entries) == 1:
-                            outcome = [outcome]
-                    for (idx, attempt), lane_outcome in zip(entries, outcome):
-                        _handle(idx, attempt, lane_outcome)
+                        # payload) count against the job's retries.
+                        outcome = SweepError(
+                            kind="exception",
+                            error_type=type(exc).__name__,
+                            message=str(exc),
+                            attempts=attempt,
+                        )
+                    _handle(idx, attempt, outcome)
                 if broken:
                     _drain_broken_pool()
         finally:

@@ -545,12 +545,19 @@ class Simulator:
         disjointly as the model requires.
     config:
         Model and policy parameters.
+    attestation:
+        Optional :class:`~repro.traces.base.PageAttestation` for
+        ``traces`` (a :class:`repro.traces.Workload` carries one). When
+        given, its ``disjoint`` flag replaces the trace scan that gates
+        fast-forward; without one the traces are scanned at the first
+        fast-forward attempt.
     """
 
     def __init__(
         self,
         traces: Sequence[np.ndarray | Sequence[int]],
         config: SimulationConfig,
+        attestation=None,
     ) -> None:
         if len(traces) == 0:
             raise ValueError("workload must contain at least one trace")
@@ -559,6 +566,7 @@ class Simulator:
             np.ascontiguousarray(np.asarray(t, dtype=np.int64)) for t in traces
         ]
         self.num_threads = len(self.traces)
+        self.attestation = attestation
 
     def run(self) -> SimulationResult:
         """Execute the simulation to completion and return its metrics."""
@@ -649,9 +657,10 @@ class Simulator:
 
         # Quiescent-interval fast-forward (repro.core.drain): exact only
         # under LRU + protect_pending with disjoint traces and no
-        # Belady/timeline wiring. Trace disjointness is checked lazily
-        # at the first attempt; a policy without a drain plan disables
-        # it for the run. Results are bit-identical either way.
+        # Belady/timeline wiring. Trace disjointness comes from the
+        # attestation when there is one, else it is checked lazily at
+        # the first attempt; a policy without a drain plan disables it
+        # for the run. Results are bit-identical either way.
         ff_state = drain.FFState()
         ff_eligible = (
             drain.fast_forward_enabled()
@@ -660,7 +669,9 @@ class Simulator:
             and belady is None
             and timeline is None
         )
-        ff_checked_disjoint = not ff_eligible
+        if ff_eligible and self.attestation is not None:
+            ff_eligible = self.attestation.disjoint
+        ff_checked_disjoint = not ff_eligible or self.attestation is not None
         ff_next_try = 0
         ff_backoff = drain.BACKOFF_MIN
         ff_horizon = (max_ticks + 1) if max_ticks is not None else drain.UNBOUNDED

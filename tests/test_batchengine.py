@@ -1,14 +1,11 @@
-"""Differential battery for the batched lockstep engine.
+"""Contract of the reduced ``repro.core.batchengine`` module.
 
-The batch engine holds the same bit-identical discipline as the
-fast-forward machinery (see ``tests/test_drain.py``): for every
-batch-eligible configuration, running B jobs in NumPy lockstep must
-produce exactly the ``SimulationResult`` (metrics, response logs, probe
-samples, fast-forward counters) that ``simulate()`` produces for each
-job alone. Ineligible lanes fall back to the single-job dispatcher
-mid-batch with no observable difference, and the sweep harness's
-batched records and result-cache entries match unbatched runs byte for
-byte.
+Lockstep batching is gone; the module keeps four names whose behaviour
+batches nothing: ``simulate_batch`` maps ``simulate`` over its items
+(keeping ``return_exceptions``), ``batch_supported`` is always
+``False``, ``batch_limit()`` is always 1, and ``set_batch_limit`` keeps
+its validation and return-previous contract. The sweep runner runs
+every job alone whatever the lane cap says.
 """
 
 import dataclasses
@@ -21,13 +18,14 @@ from repro.analysis.sweep import SweepJob, WorkloadSpec
 from repro.core import (
     ARBITRATION_POLICIES,
     ENGINE_SEMANTICS_VERSION,
-    BatchSimulator,
     SimulationConfig,
     SimulationLimitError,
+    simulate,
+)
+from repro.core.batchengine import (
     batch_limit,
     batch_supported,
     set_batch_limit,
-    simulate,
     simulate_batch,
 )
 from repro.obs import CallbackProbe, TimelineProbe
@@ -100,7 +98,7 @@ def _restore_batch_limit():
 
 
 class TestDifferentialBattery:
-    """Batch-vs-single bit identity over policies × families."""
+    """``simulate_batch`` is ``simulate`` per item, probes included."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_policy_bit_identity(self, policy):
@@ -117,39 +115,32 @@ class TestDifferentialBattery:
                 single_probes.append(sp)
         set_batch_limit(len(items))
         batched = simulate_batch(items)
-        for (traces, config), result, bp, sp, (straces, sconfig) in zip(
-            items, batched, batch_probes, single_probes, singles
+        for result, bp, sp, (straces, sconfig) in zip(
+            batched, batch_probes, single_probes, singles
         ):
             expected = simulate(straces, sconfig)
-            assert results_equal(result, expected), config
+            assert results_equal(result, expected), sconfig
             assert [s.to_dict() for s in bp.samples] == [
                 s.to_dict() for s in sp.samples
             ]
 
     def test_semantics_version_unchanged(self):
-        # The batch engine reproduces engine semantics v1 bit for bit;
-        # bump this ONLY with a deliberate, documented semantics change.
+        # Removing the batch engine changes no simulator output; bump
+        # this ONLY with a deliberate, documented semantics change.
         assert ENGINE_SEMANTICS_VERSION == 1
 
 
 class TestEligibilityAndFallback:
     def test_supported_matrix(self):
-        assert batch_supported(SimulationConfig(hbm_slots=8))
-        assert not batch_supported(
-            SimulationConfig(hbm_slots=8, replacement="clock")
-        )
-        assert not batch_supported(
-            SimulationConfig(hbm_slots=8, protect_pending=False)
-        )
-        assert not batch_supported(
-            SimulationConfig(hbm_slots=8, collect_timeline=True)
-        )
-        assert not batch_supported(
-            SimulationConfig(hbm_slots=8, probes=(CallbackProbe(lambda s: None),))
-        )
-        assert batch_supported(
-            SimulationConfig(hbm_slots=8, probes=(TimelineProbe(),))
-        )
+        for config in (
+            SimulationConfig(hbm_slots=8),
+            SimulationConfig(hbm_slots=8, replacement="clock"),
+            SimulationConfig(hbm_slots=8, protect_pending=False),
+            SimulationConfig(hbm_slots=8, collect_timeline=True),
+            SimulationConfig(hbm_slots=8, probes=(CallbackProbe(lambda s: None),)),
+            SimulationConfig(hbm_slots=8, probes=(TimelineProbe(),)),
+        ):
+            assert not batch_supported(config)
 
     def test_heterogeneous_batch_with_fallback_lanes(self):
         w1 = make_workload("zipf", threads=8, seed=1, length=200, pages=24)
@@ -164,6 +155,13 @@ class TestEligibilityAndFallback:
         batched = simulate_batch(items)
         for (traces, config), result in zip(items, batched):
             assert results_equal(result, simulate(traces, config))
+        # an explicit engine is forwarded: ineligible items raise as in
+        # simulate(), eligible ones match it
+        got = simulate_batch(items, engine="fast", return_exceptions=True)
+        assert isinstance(got[1], ValueError) and isinstance(got[2], ValueError)
+        for k in (0, 3):
+            traces, config = items[k]
+            assert results_equal(got[k], simulate(traces, config, engine="fast"))
 
     def test_empty_trace_lanes(self):
         arr = np.array([0, 1, 2, 0, 1], dtype=np.int64)
@@ -176,14 +174,6 @@ class TestEligibilityAndFallback:
         batched = simulate_batch(items)
         for (traces, config), result in zip(items, batched):
             assert results_equal(result, simulate(traces, config))
-
-    def test_batch_simulator_rejects_ineligible_lane(self):
-        w = make_workload("zipf", threads=4, seed=0, length=100, pages=16)
-        bad = SimulationConfig(hbm_slots=8, replacement="clock")
-        with pytest.raises(ValueError):
-            BatchSimulator(
-                [(w.traces, bad), (w.traces, SimulationConfig(hbm_slots=8))]
-            )
 
 
 class TestLimitErrors:
@@ -215,46 +205,18 @@ class TestLimitErrors:
 class TestKnobs:
     def test_set_batch_limit_round_trip(self):
         previous = set_batch_limit(5)
-        assert batch_limit() == 5
         assert set_batch_limit(previous) == 5
+        assert batch_limit() == 1  # the override no longer batches
         with pytest.raises(ValueError):
             set_batch_limit(-1)
 
     def test_env_knob(self, monkeypatch):
-        set_batch_limit(None)  # env only applies without an override
-        monkeypatch.setenv("REPRO_BATCH", "off")
-        assert batch_limit() == 1
-        monkeypatch.setenv("REPRO_BATCH", "4")
-        assert batch_limit() == 4
-        monkeypatch.setenv("REPRO_BATCH", "on")
-        assert batch_limit() > 1
+        # REPRO_BATCH is no longer read
+        for value in ("off", "4", "on"):
+            monkeypatch.setenv("REPRO_BATCH", value)
+            assert batch_limit() == 1
         monkeypatch.delenv("REPRO_BATCH")
-        assert batch_limit() > 1
-
-    @pytest.mark.parametrize("bad", ["three", "-2", "4.5"])
-    def test_invalid_env_warns_and_uses_default(self, monkeypatch, bad):
-        # the lane cap is a perf knob: a bad REPRO_BATCH must warn once
-        # and fall back to the default, never fail dispatch
-        import logging
-
-        from repro.core.batchengine import DEFAULT_BATCH_LANES
-        from repro.obs.log import get_logger, reset_warn_once
-
-        set_batch_limit(None)
-        monkeypatch.setenv("REPRO_BATCH", bad)
-        reset_warn_once()
-        captured: list[str] = []
-        handler = logging.Handler()
-        handler.emit = lambda rec: captured.append(rec.getMessage())
-        logger = get_logger("core")
-        logger.addHandler(handler)
-        try:
-            assert batch_limit() == DEFAULT_BATCH_LANES
-            assert batch_limit() == DEFAULT_BATCH_LANES  # warn once only
-        finally:
-            logger.removeHandler(handler)
-        assert len(captured) == 1
-        assert "REPRO_BATCH" in captured[0]
+        assert batch_limit() == 1
 
     def test_limit_one_forces_single_path(self):
         w = make_workload("zipf", threads=8, seed=1, length=200, pages=24)
@@ -265,7 +227,7 @@ class TestKnobs:
 
 
 class TestSweepIntegration:
-    """Batched SweepRunner records and cache writes match unbatched."""
+    """A lane-cap override changes no SweepRunner record or cache write."""
 
     @staticmethod
     def _jobs():
@@ -289,11 +251,7 @@ class TestSweepIntegration:
     @staticmethod
     def _row(record):
         row = dict(record.row())
-        # wall time and the batched flag describe the execution path,
-        # not the simulation outcome, so they legitimately differ
-        # between batch and solo dispatch.
-        row.pop("wall_time_s", None)
-        row.pop("batched", None)
+        row.pop("wall_time_s", None)  # timing, not simulation outcome
         return row
 
     @pytest.mark.parametrize("processes", [1, 2])
@@ -302,8 +260,8 @@ class TestSweepIntegration:
         set_batch_limit(1)
         baseline = run_sweep(jobs, processes=1, result_cache=False)
         set_batch_limit(4)
-        batched = run_sweep(jobs, processes=processes, result_cache=False)
-        for a, b in zip(baseline, batched):
+        other = run_sweep(jobs, processes=processes, result_cache=False)
+        for a, b in zip(baseline, other):
             assert self._row(a) == self._row(b)
 
     def test_pre_existing_caches_stay_warm(self, tmp_path):
@@ -315,7 +273,7 @@ class TestSweepIntegration:
 
         runner = SweepRunner(processes=1, cache_dir=tmp_path)
         records = runner.run(jobs)
-        # every unbatched entry replays: batching changes no cache key
+        # every entry replays: the lane cap changes no cache key
         assert runner.last_campaign.cache_hits == len(jobs)
         assert runner.last_campaign.simulated == 0
         assert all(r.cached for r in records)

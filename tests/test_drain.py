@@ -97,7 +97,7 @@ def assert_ff_identical(traces, cfg, expect_ff=True):
     for engine_cls in ENGINES:
         result = run_with_ff(engine_cls, traces, cfg, True)
         assert_results_equal(result, baseline)
-        if expect_ff and engine_cls is FastSimulator:
+        if expect_ff:
             assert result.ff_intervals > 0
             assert 0 < result.ff_elided_fraction <= 1.0
             assert result.ff_elided_ticks <= result.ticks

@@ -10,6 +10,7 @@ from repro.core.fastengine import (
     ENGINE_CHOICES,
     FastSimulator,
     default_engine,
+    resolve_engine,
     set_default_engine,
     simulate,
 )
@@ -280,6 +281,85 @@ class TestEngineSelection:
         finally:
             set_default_engine(previous)
         assert default_engine() == "auto"
+
+
+class TestDefaultDispatch:
+    """``auto`` runs the reference engine; ``fast`` is an explicit opt-in."""
+
+    @staticmethod
+    def _eligible():
+        wl = make_workload("adversarial_cycle", threads=8, pages=12, repeats=6)
+        cfg = SimulationConfig(hbm_slots=32, channels=2, record_responses=True)
+        return wl, cfg
+
+    def test_default_resolves_eligible_workload_to_reference(self):
+        wl, cfg = self._eligible()
+        assert default_engine() == "auto"
+        assert resolve_engine(wl, cfg) == "reference"
+        assert resolve_engine(wl, cfg, "auto") == "reference"
+        assert resolve_engine(wl, cfg, "fast") == "fast"
+
+    def test_fast_opt_in_runs_fast_simulator_bit_identical(self, monkeypatch):
+        from repro.core import fastengine
+
+        wl, cfg = self._eligible()
+        ran = []
+
+        class Spy(FastSimulator):
+            def run(self):
+                ran.append(1)
+                return super().run()
+
+        monkeypatch.setattr(fastengine, "FastSimulator", Spy)
+        default = simulate(wl, cfg)
+        assert ran == []
+        fast = simulate(wl, cfg, engine="fast")
+        assert ran == [1]
+        assert fast.ff_intervals > 0 and default.ff_intervals > 0
+        assert fast.makespan == default.makespan
+        assert fast.ticks == default.ticks
+        assert fast.response_histogram == default.response_histogram
+        assert (fast.hits, fast.fetches, fast.evictions) == (
+            default.hits, default.fetches, default.evictions
+        )
+        assert list(fast.completion_ticks) == list(default.completion_ticks)
+        for a, b in zip(fast.response_log, default.response_log):
+            assert np.array_equal(a, b)
+
+    def test_workload_attestation_replaces_disjointness_scan(self, monkeypatch):
+        from repro.core import drain
+
+        wl, cfg = self._eligible()
+        expected = simulate(wl, cfg)
+        scans = []
+        real = drain.traces_disjoint
+
+        def counting(traces):
+            scans.append(1)
+            return real(traces)
+
+        monkeypatch.setattr(drain, "traces_disjoint", counting)
+        attested = simulate(wl, cfg)
+        assert scans == []  # the attestation answered
+        raw = simulate(wl.traces, cfg)
+        assert scans == [1]  # raw arrays keep the scan
+        for result in (attested, raw):
+            assert result.ff_intervals == expected.ff_intervals > 0
+            assert result.makespan == expected.makespan
+
+    def test_non_disjoint_attestation_disables_fast_forward(self):
+        class Claimed:
+            def __init__(self, traces, attestation):
+                self.traces = traces
+                self.attestation = attestation
+
+        wl, cfg = self._eligible()
+        shy = Claimed(
+            wl.traces, PageAttestation(disjoint=False, min_page=0, max_page=0)
+        )
+        result = simulate(shy, cfg)
+        assert result.ff_intervals == 0
+        assert result.makespan == simulate(wl, cfg).makespan
 
 
 @settings(max_examples=40, deadline=None)

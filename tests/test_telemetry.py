@@ -356,12 +356,10 @@ class TestTelemetryIsInert:
         tele.close()
         warm = SweepRunner(processes=1, cache_dir=tmp_path / "c").run(jobs())
         assert all(r.cached for r in warm)
-        assert all(not r.batched for r in warm)  # replays never claim lockstep
         cold_rows = _comparable_rows(cold)
         warm_rows = _comparable_rows(warm)
         for row in cold_rows + warm_rows:
             row.pop("cached")
-            row.pop("batched")
         assert cold_rows == warm_rows
 
 
