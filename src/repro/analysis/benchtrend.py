@@ -65,6 +65,8 @@ GATED_METRICS: dict[str, dict[str, str]] = {
         "hit_heavy.ff_speedup": "higher",
         "miss_bound_reference.ff_speedup": "higher",
         "hit_heavy_reference.ff_speedup": "higher",
+        "collapse.ff_speedup": "higher",
+        "collapse_reference.ff_speedup": "higher",
     },
     "sweep": {"cache_speedup": "higher", "dispatch_speedup": "higher"},
     "obs": {

@@ -88,6 +88,7 @@ from .telemetry import CampaignTelemetry, HeartbeatWriter, default_telemetry
 
 __all__ = [
     "WorkloadSpec",
+    "WorkloadTable",
     "PayloadRequest",
     "SweepPayload",
     "SweepJob",
@@ -340,6 +341,60 @@ class WorkloadSpec:
     def describe(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params)
         return f"{self.kind}(threads={self.threads}, seed={self.seed}, {inner})"
+
+
+#: bytes of page arrays a :class:`WorkloadTable` keeps besides the
+#: workload last asked for. Past it the least recently used workloads
+#: are released (a later use loads them again), so sharing adds at most
+#: this much to a paper-scale sweep's peak memory; the registry's
+#: smoke-scale campaigns (at most ~1.2 MB of workloads each) keep all.
+WORKLOAD_TABLE_BYTES = 4 << 20
+
+
+class WorkloadTable:
+    """Campaign-scoped table of built workloads, one per distinct spec.
+
+    A campaign's in-process jobs and its reducer's rebuilds
+    (:meth:`repro.experiments.base.CampaignContext.build_workload`) look
+    each spec up here, so it is loaded from ``cache`` (or generated)
+    once per campaign instead of once per use, as long as the table's
+    workloads fit in :data:`WORKLOAD_TABLE_BYTES`. The shared
+    workloads' arrays are marked read-only. :meth:`clear` releases
+    them; the owner calls it when the campaign ends.
+    """
+
+    def __init__(self, cache: WorkloadCache | None = None) -> None:
+        self.cache = cache
+        #: spec -> (workload, bytes of its page arrays), least recently
+        #: used first
+        self._built: dict[WorkloadSpec, tuple[Workload, int]] = {}
+
+    def get(self, spec: WorkloadSpec) -> Workload:
+        entry = self._built.pop(spec, None)
+        if entry is None:
+            # make room before the build, so a large previous workload
+            # is not held while the next one is generated or loaded
+            self._release_to(WORKLOAD_TABLE_BYTES)
+            workload = spec.build(self.cache)
+            arrays = {
+                id(a): a
+                for a in (*(t.pages for t in workload.source_traces), *workload.traces)
+            }
+            for pages in arrays.values():
+                pages.flags.writeable = False
+            entry = (workload, sum(a.nbytes for a in arrays.values()))
+        self._release_to(WORKLOAD_TABLE_BYTES - entry[1])
+        self._built[spec] = entry
+        return entry[0]
+
+    def _release_to(self, limit: int) -> None:
+        """Release least recently used workloads until ``limit`` bytes."""
+        held = sum(nbytes for _, nbytes in self._built.values())
+        while self._built and held > limit:
+            held -= self._built.pop(next(iter(self._built)))[1]
+
+    def clear(self) -> None:
+        self._built.clear()
 
 
 @dataclass(frozen=True)
@@ -777,7 +832,10 @@ def _engine_config(job: SweepJob) -> tuple[SimulationConfig, Any]:
 
 
 def _run_job(
-    job: SweepJob, attempt: int = 1, timeout: float | None = None
+    job: SweepJob,
+    attempt: int = 1,
+    timeout: float | None = None,
+    workloads: WorkloadTable | None = None,
 ) -> tuple[SweepRecord, dict[str, Any]] | SweepError:
     """Execute one job attempt; never raises for job-level failures.
 
@@ -786,7 +844,9 @@ def _run_job(
     identical for the in-process and pool paths (a raised exception
     would lose the exact worker-side traceback across the pool
     boundary). A SIGKILLed worker obviously returns nothing; the parent
-    observes that as ``BrokenProcessPool``.
+    observes that as ``BrokenProcessPool``. ``workloads`` (in-process
+    runs only) serves the workload from a campaign's shared table
+    instead of the worker's workload cache.
 
     When the campaign collects telemetry, the attempt runs under a
     fresh metrics registry whose snapshot — plus any buffered
@@ -800,11 +860,15 @@ def _run_job(
         try:
             with _job_deadline(timeout):
                 maybe_inject(job.tag, attempt)
-                cache = (
-                    WorkloadCache(_WORKER_CACHE_DIR) if _WORKER_CACHE_DIR else None
-                )
                 build_start = time.perf_counter()
-                workload = job.workload.build(cache)
+                if workloads is not None:
+                    workload = workloads.get(job.workload)
+                else:
+                    workload = job.workload.build(
+                        WorkloadCache(_WORKER_CACHE_DIR)
+                        if _WORKER_CACHE_DIR
+                        else None
+                    )
                 build_s = time.perf_counter() - build_start
                 record_phase("workload_build", build_s)
                 # Dispatch through the engine selector. The Workload
@@ -1120,6 +1184,10 @@ class SweepRunner:
     A dead worker process (``BrokenProcessPool``) never aborts the
     campaign: the pool is rebuilt and only the jobs whose futures were
     lost are resubmitted, up to ``max_pool_rebuilds`` times.
+
+    ``workloads`` is the campaign's :class:`WorkloadTable`; in-process
+    jobs take their workloads from it. Without one, and in pool
+    workers, each job loads its workload from the workload cache.
     """
 
     def __init__(
@@ -1136,6 +1204,7 @@ class SweepRunner:
         telemetry: CampaignTelemetry | None = None,
         store: "ResultStore | str | None" = None,
         shard: str | tuple[int, int] | None = None,
+        workloads: WorkloadTable | None = None,
     ) -> None:
         self.processes = processes if processes is not None else (os.cpu_count() or 1)
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
@@ -1182,6 +1251,7 @@ class SweepRunner:
         #: default (see :func:`repro.analysis.telemetry.default_telemetry`)
         #: at each :meth:`run`
         self.telemetry = telemetry
+        self.workloads = workloads
         #: the sink actually driving the campaign in flight (internal)
         self._tele: CampaignTelemetry | None = None
         #: telemetry from the most recent :meth:`run`
@@ -1626,7 +1696,7 @@ class SweepRunner:
         done = 0
         for idx in pending:
             attempt = 1
-            outcome = _run_job(jobs[idx], attempt, self.job_timeout)
+            outcome = _run_job(jobs[idx], attempt, self.job_timeout, self.workloads)
             while isinstance(outcome, SweepError) and attempt < max_attempts:
                 counters["retried"] += 1
                 if self._tele is not None:
@@ -1635,7 +1705,9 @@ class SweepRunner:
                 self._log_retry(jobs[idx], outcome, delay)
                 time.sleep(delay)
                 attempt += 1
-                outcome = _run_job(jobs[idx], attempt, self.job_timeout)
+                outcome = _run_job(
+                    jobs[idx], attempt, self.job_timeout, self.workloads
+                )
             if isinstance(outcome, SweepError):
                 _fail(idx, outcome)
             else:

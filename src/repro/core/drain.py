@@ -1,10 +1,10 @@
-"""Quiescent-interval fast-forward: bulk-drain planning for both engines.
+"""Quiescent-interval fast-forward: the exact FIFO drain both engines elide.
 
-Miss-bound stretches dominate the paper's adversarial workloads: every
+Miss-bound stretches dominate the paper's FIFO-collapse workloads: every
 live core is blocked on DRAM and the far channels drain the request
 queue at ``q`` grants per tick. A tick-level simulator spends O(p) work
-per tick re-discovering that nothing changed; this module computes the
-entire drain in one step so the engines can jump the clock.
+per tick re-discovering that nothing changed; this module computes such
+a drain in closed form so the engines can jump the clock.
 
 The drain is *exact*, not approximate, because a miss-bound interval is
 deterministic once three facts are pinned down at its entry tick:
@@ -15,48 +15,40 @@ deterministic once three facts are pinned down at its entry tick:
    reference of the same window. Disjoint traces (the model's
    Property 1, which callers must guarantee) mean no other core can
    fetch or re-fetch these pages, and evictions never make a page
-   resident — so each window reference is certainly a miss when its
-   turn comes, independent of anything else that happens inside the
-   interval. The first reference past the window is *uncertain* (it was
-   resident at entry, repeats a window page, or lies past the scan
-   cap): the interval must end before that reference is classified.
-2. **The grant pipeline.** Under ``protect_pending`` a granted page is
-   protected until served, so a grant at tick ``tau`` is always served
-   at ``tau + 1`` and the core (if continuing on a window miss)
-   re-enqueues at ``tau + 2``. Entry hits are served at the entry tick
-   and re-enqueue one tick later. :func:`plan_drain` replays exactly
-   this recurrence against a snapshot of the arbitration queue (an
-   :meth:`~repro.core.arbitration.ArbitrationPolicy.drain_plan`), so
-   the grant order is the policy's own.
+   resident, so each window reference is certainly a miss when its
+   turn comes. The interval leaves every core at least one window
+   grant short of its end, so no uncertain reference is ever
+   classified inside it.
+2. **The FIFO pipeline steady state.** Under ``protect_pending`` a
+   granted page is served one tick later and the core re-enqueues one
+   tick after that. With ``k`` live cores, ``k`` a multiple of ``q``
+   and ``k >= 2q``, the queue never runs dry and the grant stream is
+   closed-form: the entry order ``P`` (queue snapshot, then this
+   tick's misses, then this tick's hits re-enqueuing next tick),
+   followed by tiles of ``P``'s ``q``-chunks each sorted by core id.
+   Grant ``j`` lands on tick ``start + j // q``.
 3. **Eviction feasibility.** Per tick, the victims needed
    (``deficit``) must come from resident pages that are not protected;
-   the protected-and-resident pages at tick ``tau`` are exactly last
-   tick's grants (plus the entry hits at the entry tick). The planner
-   caps the interval at the first tick this fails, which is also where
-   the per-tick engine would start fetching short — outside the
-   fast-forward's exact regime.
+   the protected-and-resident pages at a tick are exactly last tick's
+   grants (plus the entry hits at the entry tick). The interval is
+   trimmed to whole rounds before the first tick this fails.
 
-The interval additionally ends at the policy's plan horizon, at
-``max_ticks``, at any core's *deadline* (two ticks after its last
-in-window grant, when its uncertain reference would be classified), or
-when the queue runs dry. Plans are no longer capped at remap
-boundaries: the priority family's remaps are pure permutations of the
-current ranks (plus a clonable rng for Dynamic Priority), so a plan
-replays them inside the planned copy via its ``tick_hook`` and the
-planner carries grant order exactly across any number of boundaries.
-Address-aware policies (FR-FCFS) plan too: the planner feeds each
-re-enqueue the core's next requested page from ``page_streams``. Probe
-samples falling inside a skipped interval are reconstructed
-tick-for-tick by
-:func:`repro.obs.probe.materialize_interval_samples` from the
-schedule's closed-form histories, so probe series are bit-identical to
-the per-tick engines' output.
+Only FIFO's grant order is such a stream (its
+:meth:`~repro.core.arbitration.ArbitrationPolicy.drain_plan` is the
+only built-in one). Every other policy declines the miss window once
+per run, because replaying its grant order tick by tick costs more per
+elided tick than stepping the tick (docs/PERFORMANCE.md); the
+guaranteed-hit prover in the engines still covers all of them.
+
+Probe samples falling inside a skipped interval are reconstructed
+tick-for-tick by :func:`repro.obs.probe.materialize_interval_samples`
+from the schedule's per-tick histories, so probe series are
+bit-identical to the per-tick engines' output.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -76,9 +68,10 @@ __all__ = [
     "DrainSchedule",
     "FFState",
     "plan_drain",
+    "max_rounds",
     "record_ff_engagement",
     "response_times",
-    "apply_serve_metrics",
+    "sampled",
 ]
 
 #: shortest interval worth committing; below this the fixed cost of
@@ -97,7 +90,7 @@ WINDOW_CAP = 4096
 BACKOFF_MIN = 64
 BACKOFF_MAX = 4096
 
-#: horizon stand-in when neither max_ticks nor a remap boundary applies
+#: horizon stand-in when max_ticks does not bound the run
 UNBOUNDED = 1 << 62
 
 _ff_override: bool | None = None
@@ -137,8 +130,9 @@ class FFState:
     provers, how many attempts were made and how many committed an
     interval, plus whether each prover is still worth attempting
     (``plan_ok`` flips off when the policy declines to produce a drain
-    plan, ``hit_ok`` when it cannot skip idle ticks — both permanent
-    for the run). :func:`record_ff_engagement` exports the totals as
+    plan, i.e. for every policy but FIFO after its first miss attempt;
+    ``hit_ok`` when it cannot skip idle ticks — both permanent for the
+    run). :func:`record_ff_engagement` exports the totals as
     per-policy counters.
     """
 
@@ -197,6 +191,13 @@ def record_ff_engagement(policy_name: str, state: FFState) -> None:
             declines.inc(dropped, policy=policy_name, window=window)
 
 
+def sampled(start: int, end: int, stride: int) -> bool:
+    """Does a probe sample tick (a multiple of ``stride``) fall in
+    ``[start, end)``? An elided interval without one owes no samples,
+    so the engines skip reconstructing its histories."""
+    return -(-start // stride) * stride < end
+
+
 def traces_disjoint(traces: list[np.ndarray]) -> bool:
     """Do the per-core traces touch pairwise-disjoint page sets?
 
@@ -215,157 +216,202 @@ def traces_disjoint(traces: list[np.ndarray]) -> bool:
 class DrainSchedule:
     """The exact outcome of one fast-forwarded interval ``[start, end)``.
 
+    A FIFO steady-state drain is fully described by its entry hits,
+    its entry order ``order`` (``k`` cores), the chunk-sorted round
+    order ``round1`` and the number of whole rounds: every grant and
+    serve event, and every per-tick history, derives from these. The
+    event arrays are built on demand, so a commit without probes pays
+    only for what it reads.
+
     Serve events are tick-major with core ids ascending within a tick
     (the paper's "for each r*_i" serve order); grant events are in the
-    arbitration policy's own grant order. The per-tick histories carry
-    end-of-tick values, exactly what a probe sampled on that tick reads.
+    FIFO grant order. The per-tick histories carry end-of-tick values,
+    exactly what a probe sampled on that tick reads.
     """
 
     __slots__ = (
         "start",
         "end",
-        "plan",
-        "serve_threads",
-        "serve_ticks",
-        "grant_threads",
-        "grant_ticks",
-        "grants_per_tick",
-        "evicts_per_tick",
-        "queue_per_tick",
-        "resident_per_tick",
+        "channels",
+        "capacity",
+        "resident0",
+        "h_threads",
+        "order",
+        "round1",
+        "rounds",
+        "first_queue_len",
         "final_queue_len",
-        "final_resident",
         "total_evictions",
     )
 
-    def __init__(self, start: int, end: int, plan: "DrainPlan") -> None:
+    def __init__(
+        self,
+        start: int,
+        channels: int,
+        capacity: int,
+        resident0: int,
+        h_threads: list[int],
+        order: list[int],
+        rounds: int,
+        first_queue_len: int,
+    ) -> None:
+        q = channels
+        k = len(order)
         self.start = start
-        self.end = end
-        self.plan = plan
-        self.serve_threads: list[int] = []
-        self.serve_ticks: list[int] = []
-        self.grant_threads: list[int] = []
-        self.grant_ticks: list[int] = []
-        self.grants_per_tick: list[int] = []
-        self.evicts_per_tick: list[int] = []
-        self.queue_per_tick: list[int] = []
-        self.resident_per_tick: list[int] = []
-        self.final_queue_len = 0
-        self.final_resident = 0
-        self.total_evictions = 0
+        self.end = start + rounds * k // q
+        self.channels = q
+        self.capacity = capacity
+        self.resident0 = resident0
+        self.h_threads = h_threads
+        self.order = np.asarray(order, dtype=np.int64)
+        round1 = self.order.reshape(-1, q).copy()
+        round1.sort(axis=1)
+        self.round1 = round1.ravel()
+        self.rounds = rounds
+        self.first_queue_len = first_queue_len
+        self.final_queue_len = k - 2 * q
+        # every fetch beyond the free slots evicts one page
+        overflow = resident0 + self.grants - capacity
+        self.total_evictions = overflow if overflow > 0 else 0
+
+    @property
+    def grants(self) -> int:
+        """Channel grants (= fetches) inside the interval."""
+        return (self.end - self.start) * self.channels
+
+    @property
+    def period(self) -> int:
+        """Ticks per round: a core's consecutive grants are this far apart."""
+        return len(self.order) // self.channels
+
+    def grant_serves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cores, first, count)`` per core of the entry order: the tick
+        its first grant is served on and how many of its grants are
+        served inside the interval, one every :attr:`period` ticks.
+
+        A core's grant lands on the same chunk of every round, so its
+        serves are periodic; the last chunk's final grant is served only
+        after the jump. Every core keeps at least one window grant, so
+        none completes inside the interval.
+        """
+        chunk = np.arange(len(self.order), dtype=np.int64) // self.channels
+        count = np.full(len(self.order), self.rounds, dtype=np.int64)
+        count[chunk == self.period - 1] -= 1
+        return self.order, self.start + 1 + chunk, count
+
+    def inflight(self) -> np.ndarray:
+        """Cores granted on the last tick: fetched, served after the jump."""
+        return self.round1[-self.channels :]
+
+    def serve_events(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chronological ``(threads, ticks)`` of every serve in the interval.
+
+        The entry hits serve at ``start``; round ``r``'s grants serve one
+        tick after they are granted. The last tick's grants serve at
+        ``end`` and so fall outside.
+        """
+        q = self.channels
+        tiles = np.tile(self.round1, self.rounds)[:-q]
+        threads = np.concatenate(
+            [np.asarray(self.h_threads, dtype=np.int64), tiles]
+        )
+        ticks = np.concatenate(
+            [
+                np.full(len(self.h_threads), self.start, dtype=np.int64),
+                np.repeat(np.arange(self.start + 1, self.end, dtype=np.int64), q),
+            ]
+        )
+        return threads, ticks
+
+    def fetched_events(
+        self, first: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(threads, rounds, events)`` of the interval's served fetches
+        from the ``first``-th on, in serve order (the order they enter
+        the LRU).
+
+        Fetch ``e`` is tile position ``e``: core ``round1[e % k]``'s
+        ``e // k``-th grant of the interval, served on tick
+        ``start + 1 + e // q`` at within-tick position ``e % q``.
+        Fetches before ``first`` are evicted again inside the interval,
+        so callers derive pages only for the survivors. The last tick's
+        grants are not served inside the interval: see :meth:`inflight`.
+        """
+        k = len(self.round1)
+        e = np.arange(first, self.grants - self.channels, dtype=np.int64)
+        return self.round1[e % k], e // k, e
+
+    def grant_events(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chronological ``(threads, ticks)`` of every grant."""
+        threads = np.concatenate(
+            [self.order, np.tile(self.round1, self.rounds - 1)]
+        )
+        ticks = np.repeat(
+            np.arange(self.start, self.end, dtype=np.int64), self.channels
+        )
+        return threads, ticks
+
+    def probe_histories(self) -> dict[str, list[int]]:
+        """Per-tick grant/eviction/queue/residency histories plus the
+        event lists, as keyword arguments of
+        :func:`repro.obs.probe.materialize_interval_samples`."""
+        ticks = self.end - self.start
+        q = self.channels
+        queue = [self.final_queue_len] * ticks
+        queue[0] = self.first_queue_len
+        wanted = self.resident0 + q * np.arange(ticks + 1, dtype=np.int64)
+        resident = np.minimum(wanted, self.capacity)
+        serve_threads, serve_ticks = self.serve_events()
+        grant_threads, grant_ticks = self.grant_events()
+        return {
+            "grants_per_tick": [q] * ticks,
+            "evicts_per_tick": (q - np.diff(resident)).tolist(),
+            "queue_per_tick": queue,
+            "resident_per_tick": resident[1:].tolist(),
+            "serve_threads": serve_threads.tolist(),
+            "serve_ticks": serve_ticks.tolist(),
+            "grant_threads": grant_threads.tolist(),
+            "grant_ticks": grant_ticks.tolist(),
+        }
 
 
-def _bulk_steady_segment(
-    plan,
-    sched: DrainSchedule,
-    arrivals: "dict[int, list[int]]",
-    tau: int,
-    end: int,
-    q: int,
-    capacity: int,
-    R: int,
-    prot: int,
-    grant_avail: "dict[int, int]",
-) -> "tuple[int, int, int, int, int] | None":
-    """Vectorize a settled stretch of a FIFO drain; None to tick on.
+def response_times(
+    firsts: np.ndarray, counts: np.ndarray, request_ticks: np.ndarray, period: int
+) -> np.ndarray:
+    """Response times of periodic serves, thread-major.
 
-    Once a FIFO drain is in its pipeline steady state, the grant stream
-    is closed-form: let ``P`` be the pending order (queue after this
-    tick's arrivals, then next tick's already-registered arrivals — at
-    any planner tick that is *every* active core, since a granted core
-    is back in the queue two ticks later). Each granted q-chunk
-    re-enqueues sorted, so with ``k = len(P)`` divisible by ``q`` the
-    stream is ``P`` followed by tiles of ``round1`` (= P's q-chunks,
-    each sorted) — chunk-sorting is idempotent from the second round
-    on. Grant ``j`` lands on tick ``tau + j // q`` as long as the queue
-    never runs dry, which ``k >= 2q`` guarantees (exactly ``2q`` cores
-    are in flight at any moment).
-
-    The segment covers ``n_rounds`` whole rounds (one grant per core
-    per round), chosen so that no core exhausts its window inside (no
-    deadlines), the re-entry tick stays two short of ``end``, and every
-    tick's eviction deficit is feasible — everything else falls back to
-    the per-tick planner, which re-derives state from the queue and
-    arrival batches this function leaves behind. Returns the new loop
-    state ``(tau, qlen, prot, R, evicted)``.
+    Core ``j`` is served ``counts[j]`` times: first on tick ``firsts[j]``,
+    then every ``period`` ticks (:meth:`DrainSchedule.grant_serves`).
+    Its first serve answers the request pending since
+    ``request_ticks[j]`` and waits ``firsts[j] - request_ticks[j] + 1``;
+    each later serve answers the request issued right after the
+    previous one and waits exactly one period. The waits come back
+    grouped per core in input order, each core's chronologically.
     """
-    arr = arrivals.get(tau)
-    a1_list = arrivals.get(tau + 1)
-    snap = plan.snapshot()
-    p0_len = len(snap) + (len(arr) if arr else 0)
-    if arr:
-        snap.extend(arr)
-    if a1_list:
-        snap.extend(a1_list)
-    P = snap
-    k = len(P)
-    a1 = len(a1_list) if a1_list else 0
-    if k < 2 * q or k % q or p0_len < q:
-        return None
-    min_avail = min(grant_avail[i] for i in P)
-    n_rounds = min_avail - 1  # leave one grant: no deadline can fire inside
-    cap_rounds = ((end - 2 - tau) * q) // k
-    if cap_rounds < n_rounds:
-        n_rounds = cap_rounds
-    if n_rounds < 2:
-        return None
-    ticks = n_rounds * k // q
-    idx = np.arange(ticks, dtype=np.int64)
-    r_after = np.minimum(R + q * (idx + 1), capacity)
-    r_before = np.empty(ticks, dtype=np.int64)
-    r_before[0] = R
-    r_before[1:] = r_after[:-1]
-    deficits = q - (r_after - r_before)
-    prot_arr = np.full(ticks, q, dtype=np.int64)
-    prot_arr[0] = prot
-    feasible = deficits <= r_before - prot_arr
-    if not feasible.all():
-        # Trim to whole rounds strictly before the first infeasible
-        # tick; the per-tick planner then re-hits it and ends there.
-        first_bad = int(np.argmin(feasible))
-        n_rounds = (first_bad * q) // k
-        if n_rounds < 2:
-            return None
-        ticks = n_rounds * k // q
-        r_after = r_after[:ticks]
-        deficits = deficits[:ticks]
+    starts = np.zeros(len(counts), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    w = np.full(int(counts.sum()), period, dtype=np.int64)
+    served = counts > 0
+    w[starts[served]] = (firsts - request_ticks + 1)[served]
+    return w
 
-    P_arr = np.asarray(P, dtype=np.int64)
-    round1 = P_arr.reshape(-1, q).copy()
-    round1.sort(axis=1)
-    round1 = round1.ravel()
-    grants_stream = (
-        np.concatenate([P_arr, np.tile(round1, n_rounds - 1)])
-        if n_rounds > 1
-        else P_arr
-    )
 
-    arrivals.pop(tau, None)
-    arrivals.pop(tau + 1, None)
-    sched.grant_threads.extend(grants_stream.tolist())
-    sched.grant_ticks.extend(np.repeat(np.arange(tau, tau + ticks), q).tolist())
-    sched.serve_threads.extend(np.tile(round1, n_rounds).tolist())
-    sched.serve_ticks.extend(
-        np.repeat(np.arange(tau + 1, tau + 1 + ticks), q).tolist()
-    )
-    sched.grants_per_tick.extend([q] * ticks)
-    sched.evicts_per_tick.extend(deficits.tolist())
-    q_hist = np.full(ticks, k - 2 * q, dtype=np.int64)
-    q_hist[0] = k - a1 - q
-    sched.queue_per_tick.extend(q_hist.tolist())
-    sched.resident_per_tick.extend(r_after.tolist())
-    for i in P:
-        grant_avail[i] -= n_rounds
+def max_rounds(channels: int, cores: int, start: int, horizon: int) -> int:
+    """Most whole rounds a steady-state drain of ``cores`` live cores
+    (queued plus ready) entered at ``start`` could cover; 0 when none.
 
-    # Hand the per-tick planner the exact post-segment pipeline state:
-    # the queue holds the next k - 2q stream positions, the two granted
-    # chunks still in flight become the next two arrival batches.
-    tail = k - 2 * q
-    plan.replace(round1[:tail].tolist())
-    new_tau = tau + ticks
-    arrivals[new_tau] = round1[tail : tail + q].tolist()
-    arrivals[new_tau + 1] = round1[tail + q :].tolist()
-    return new_tau, tail, q, int(r_after[-1]), int(deficits.sum())
+    Engines call this before scanning windows: 0 means no window can
+    make the attempt succeed, and a positive value bounds how far the
+    scan must look (a core needs at most ``rounds + 2`` window
+    references for its window not to be the binding limit).
+    """
+    q = channels
+    if cores < 2 * q or cores % q:
+        return 0
+    rounds = ((horizon - 2 - start) * q) // cores
+    if rounds < 2 or rounds * cores // q < MIN_FF_TICKS:
+        return 0
+    return rounds
 
 
 def plan_drain(
@@ -375,261 +421,71 @@ def plan_drain(
     channels: int,
     capacity: int,
     resident0: int,
-    queue0: int,
     h_threads: list[int],
     b_threads: list[int],
     grant_avail: dict[int, int],
     completes: dict[int, bool],
-    page_streams: "dict[int, object] | None" = None,
 ) -> DrainSchedule | None:
-    """Simulate the whole drain against the policy's queue snapshot.
+    """The FIFO steady-state drain entered at ``start``, or ``None``.
 
     ``h_threads`` / ``b_threads`` are the entry tick's ready cores whose
     current reference is resident / missing (both sorted by core id);
-    cores already queued at entry are implicit in ``plan``'s snapshot.
+    cores already queued at entry are ``plan.snapshot()``.
     ``grant_avail`` maps every live core to the number of grants its
-    guaranteed-miss window allows (mutated in place); ``completes``
-    flags cores whose window reaches the end of their trace.
+    guaranteed-miss window allows; ``completes`` flags cores whose
+    window reaches the end of their trace.
 
-    When the plan declares :attr:`~repro.core.arbitration.DrainPlan.
-    needs_pages` (address-aware policies), ``page_streams`` must map
-    every live core to its upcoming reference stream starting at the
-    core's *current* reference; the planner feeds each re-enqueue the
-    right page off that stream. When the plan declares a ``tick_hook``
-    (remap-replaying plans), the planner invokes it once per planned
-    tick after the first, exactly where the live loop runs
-    ``begin_tick``.
-
-    Returns ``None`` when the interval is shorter than
-    :data:`MIN_FF_TICKS` (callers then fall back to per-tick execution
-    and back off). The caller must treat ``plan`` and ``grant_avail``
-    as consumed either way.
+    Entry hits serve at ``start`` and re-enqueue one tick later; an
+    entry hit with no window grant left finishes there if it completes
+    and otherwise ends the interval before it starts. The drain covers
+    whole rounds (one grant per core each), leaves every core at least
+    one window grant, stops two ticks short of ``plan.horizon`` and
+    before the first tick whose eviction would need a protected page.
+    Returns ``None`` when that is fewer than two rounds or
+    :data:`MIN_FF_TICKS` ticks, or the pipeline is not in its steady
+    state (fewer than ``2q`` cores, a core count that is not a multiple
+    of ``q``, or fewer than ``q`` requests grantable on the entry tick).
+    On success the plan holds the post-interval queue, ready for
+    :meth:`~repro.core.arbitration.DrainPlan.commit`.
     """
-    needs_pages = plan.needs_pages
-    if needs_pages and page_streams is None:
-        return None
-    hook = plan.tick_hook
-    end = plan.horizon
-    if end - start < MIN_FF_TICKS:
-        return None
-
-    # Pending queue arrivals, keyed by arrival tick. Entry misses
-    # enqueue at the entry tick; entry hits are served at the entry
-    # tick and re-enqueue (their window guarantees a miss) one tick
-    # later. An entry hit with an exhausted window that does not
-    # complete hits its deadline immediately.
-    arrivals: dict[int, list[int]] = {}
-    if b_threads:
-        arrivals[start] = list(b_threads)
+    q = channels
+    order = plan.snapshot()
+    grantable = len(order) + len(b_threads)
+    order.extend(b_threads)
     for i in h_threads:
         if grant_avail[i] > 0:
-            arrivals.setdefault(start + 1, []).append(i)
+            order.append(i)
         elif not completes[i]:
-            end = start + 1
-    if end - start < MIN_FF_TICKS:
+            return None  # its next reference is uncertain at start + 1
+    k = len(order)
+    if k < 2 * q or k % q or grantable < q:
+        return None
+    rounds = min(grant_avail[i] for i in order) - 1
+    cap = ((plan.horizon - 2 - start) * q) // k
+    if cap < rounds:
+        rounds = cap
+    # Eviction feasibility in closed form. Ticks before the HBM fills
+    # evict nothing; from the first tick whose fetches exceed the free
+    # slots on, each tick evicts what it cannot fit, and that is
+    # feasible exactly when capacity >= q + protected (protected = the
+    # entry hits on the entry tick, last tick's q grants afterwards).
+    first_full = (capacity - resident0) // q
+    if first_full == 0 and capacity < q + len(h_threads):
+        bad = 0
+    elif capacity < 2 * q:
+        bad = first_full if first_full > 1 else 1
+    else:
+        bad = None
+    if bad is not None and bad * q < rounds * k:
+        rounds = (bad * q) // k  # whole rounds strictly before tick `bad`
+    if rounds < 2 or rounds * k // q < MIN_FF_TICKS:
         return None
 
-    sched = DrainSchedule(start, end, plan)
-    serve_threads = sched.serve_threads
-    serve_ticks = sched.serve_ticks
-    grant_threads = sched.grant_threads
-    grant_ticks = sched.grant_ticks
-    g_hist = sched.grants_per_tick
-    d_hist = sched.evicts_per_tick
-    q_hist = sched.queue_per_tick
-    r_hist = sched.resident_per_tick
-
-    if h_threads:
-        serve_threads.extend(h_threads)
-        serve_ticks.extend([start] * len(h_threads))
-
-    R = resident0
-    qlen = queue0
-    prot = len(h_threads)  # resident pages eviction must not touch
-    total_evicted = 0
-    q = channels
-    supports_bulk = plan.supports_bulk and hook is None
-    next_idx: dict[int, int] = dict.fromkeys(b_threads, 0) if needs_pages else {}
-    tau = start
-    while tau < end:
-        if supports_bulk and end - tau >= 2 * MIN_FF_TICKS:
-            bulk = _bulk_steady_segment(
-                plan, sched, arrivals, tau, end, q, capacity, R, prot,
-                grant_avail,
-            )
-            if bulk is not None:
-                tau, qlen, prot, R, evicted = bulk
-                total_evicted += evicted
-                continue
-        arr = arrivals.pop(tau, None)
-        qlen_eff = qlen + (len(arr) if arr else 0)
-        if qlen_eff == 0 and not arrivals:
-            # Queue dry and nothing in flight beyond last tick's
-            # grants: the drain is over. Keep tick tau inside the
-            # interval only if it still serves last tick's grants —
-            # and then record its (idle) history row so the per-tick
-            # histories span the whole interval (its begin_tick is
-            # elided with it, so replay any remap hook first).
-            if g_hist and g_hist[-1]:
-                if hook is not None:
-                    hook(tau)
-                end = tau + 1
-                g_hist.append(0)
-                d_hist.append(0)
-                q_hist.append(qlen)
-                r_hist.append(R)
-            else:
-                end = tau
-            break
-        will = qlen_eff if qlen_eff < q else q
-        deficit = 0
-        if will:
-            free = capacity - R
-            deficit = will - free
-            if deficit < 0:
-                deficit = 0
-            elif deficit > R - prot:
-                # Eviction would need a protected page: the per-tick
-                # engine would fetch short here, which is outside the
-                # deterministic drain regime. End before this tick
-                # (which therefore keeps its live begin_tick: no hook).
-                end = tau
-                break
-        if hook is not None and tau > start:
-            # The live loop runs begin_tick(tau) before enqueuing this
-            # tick's arrivals and granting; tick `start`'s already ran.
-            hook(tau)
-        if arr:
-            if needs_pages:
-                pages: list[int] = []
-                for i in arr:
-                    # A core's first push re-requests stream[0] only if
-                    # it entered as a queued/entry miss; entry hits and
-                    # re-arrivals already consumed earlier references.
-                    idx = next_idx.get(i, 1)
-                    pages.append(int(page_streams[i][idx]))
-                    next_idx[i] = idx + 1
-                plan.push(arr, pages)
-            else:
-                plan.push(arr)
-        qlen = qlen_eff
-        if will:
-            granted = plan.pop(will)
-            ng = len(granted)
-            if ng != will:
-                # Defensive: a drain plan that disagrees with its
-                # policy's queue length cannot be committed safely.
-                return None
-            R += ng - deficit
-            qlen -= ng
-            total_evicted += deficit
-            grant_threads.extend(granted)
-            grant_ticks.extend([tau] * ng)
-            batch = sorted(granted)
-            serve_tick = tau + 1
-            if serve_tick < end:
-                # end only ever shrinks to >= tau + 2 below, so a
-                # serve recorded here stays inside the interval.
-                serve_threads.extend(batch)
-                serve_ticks.extend([serve_tick] * len(batch))
-            rearrive = tau + 2
-            nxt: list[int] | None = None
-            for i in batch:
-                left = grant_avail[i] - 1
-                grant_avail[i] = left
-                if left > 0:
-                    if nxt is None:
-                        nxt = []
-                    nxt.append(i)
-                elif not completes[i] and rearrive < end:
-                    # Deadline: this core's next reference after the
-                    # granted one is uncertain and must be classified
-                    # by the per-tick engine.
-                    end = rearrive
-            if nxt and rearrive < end:
-                arrivals.setdefault(rearrive, []).extend(nxt)
-            g_hist.append(ng)
-        else:
-            g_hist.append(0)
-            prot = 0
-            d_hist.append(0)
-            q_hist.append(qlen)
-            r_hist.append(R)
-            tau += 1
-            continue
-        prot = ng
-        d_hist.append(deficit)
-        q_hist.append(qlen)
-        r_hist.append(R)
-        tau += 1
-
-    if end - start < MIN_FF_TICKS:
-        return None
-    # Serves recorded for a tick the eviction cap later excluded.
-    while serve_ticks and serve_ticks[-1] >= end:
-        serve_ticks.pop()
-        serve_threads.pop()
-    sched.end = end
-    sched.final_queue_len = qlen
-    sched.final_resident = R
-    sched.total_evictions = total_evicted
+    # After the interval the queue holds the next k - 2q stream
+    # positions; the two chunks granted on its last two ticks are in
+    # flight and re-enter through the engine's ready set.
+    sched = DrainSchedule(
+        start, q, capacity, resident0, h_threads, order, rounds, grantable - q
+    )
+    plan.replace(sched.round1[: k - 2 * q].tolist())
     return sched
-
-
-def response_times(
-    serve_threads: np.ndarray,
-    serve_ticks: np.ndarray,
-    entry_request_tick: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-serve response times for a schedule's serve events.
-
-    Returns ``(order, threads_sorted, ticks_sorted, w_sorted)`` where
-    ``order`` is the stable thread-major permutation of the
-    chronological inputs. A core's first serve in the interval answers
-    the request it entered with (``w = tick - entry_request_tick + 1``);
-    each later serve answers the request issued one tick after the
-    previous serve, so ``w`` is the consecutive serve-tick difference.
-    """
-    order = np.argsort(serve_threads, kind="stable")
-    th = serve_threads[order]
-    tk = serve_ticks[order]
-    w = np.empty(len(th), dtype=np.int64)
-    if len(th):
-        first = np.empty(len(th), dtype=bool)
-        first[0] = True
-        first[1:] = th[1:] != th[:-1]
-        w[first] = tk[first] - entry_request_tick[th[first]] + 1
-        diffs = tk[1:] - tk[:-1]
-        rest = ~first[1:]
-        w[1:][rest] = diffs[rest]
-    return order, th, tk, w
-
-
-def apply_serve_metrics(
-    histograms: list[dict[int, int]],
-    response_logs: list[list[int]] | None,
-    threads_sorted: np.ndarray,
-    w_sorted: np.ndarray,
-    num_threads: int,
-) -> None:
-    """Merge an interval's serves into per-thread histogram dicts.
-
-    ``threads_sorted`` / ``w_sorted`` come from :func:`response_times`
-    (thread-major, chronological within a thread), which is exactly the
-    append order the reference engine's response logs use.
-    """
-    if not len(threads_sorted):
-        return
-    max_w = int(w_sorted.max())
-    keys = threads_sorted * (max_w + 1) + w_sorted
-    unique_keys, counts = np.unique(keys, return_counts=True)
-    for key, count in zip(unique_keys.tolist(), counts.tolist()):
-        thread, w = divmod(key, max_w + 1)
-        hist = histograms[thread]
-        hist[w] = hist.get(w, 0) + count
-    if response_logs is not None:
-        bounds = np.searchsorted(threads_sorted, np.arange(num_threads + 1))
-        for i in range(num_threads):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if hi > lo:
-                response_logs[i].extend(w_sorted[lo:hi].tolist())

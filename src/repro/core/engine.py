@@ -38,7 +38,8 @@ Implementation notes
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -87,450 +88,455 @@ def _next_use_indices(trace: np.ndarray) -> np.ndarray:
     return nxt
 
 
-def _attempt_fast_forward(
-    ffstate,
-    arb,
-    t,
-    p,
-    q,
-    capacity,
-    traces,
-    lengths,
-    pos,
-    current,
-    request_tick,
-    ready,
-    residency,
-    protected,
-    track_protected,
-    queue_len,
-    fetches,
-    evictions,
-    done_count,
-    makespan,
-    metrics,
-    histograms,
-    response_logs,
-    probes,
-    probe_stride,
-    ff_horizon,
-):
-    """One quiescent-interval fast-forward attempt at tick ``t``.
+@dataclass(slots=True)
+class _FastForward:
+    """Per-run fast-forward state of the reference engine.
 
-    Plans the whole queue drain (see :mod:`repro.core.drain`), and on
-    success applies it in bulk — serves, response times, completions,
-    evictions in exact LRU victim order, fetched-page inserts, probe
-    samples — mutating the engine's state containers in place. When the
-    entry tick is instead fully hit-quiescent (empty queue, every ready
-    reference resident) it dispatches to the guaranteed-hit prover
-    :func:`_attempt_hit_fast_forward`. ``ffstate`` (a
-    :class:`repro.core.drain.FFState`) tracks prover availability and
-    attempt/commit counts. Returns the updated scalars ``(t, ready,
-    queue_len, fetches, evictions, done_count, makespan)``, or ``None``
-    when no interval could be committed (the caller backs off and ticks
-    normally).
+    Holds the run's constants and, by reference, the containers the
+    provers read and mutate. The tick loop keeps its scalar counters as
+    locals and passes them through :meth:`attempt`, so stepping a tick
+    never touches this object.
     """
-    # Entry classification: ready cores whose current reference is
-    # resident serve this tick (H); the rest enqueue this tick (B).
-    h_list: list[int] = []
-    b_list: list[int] = []
-    for i in ready:
-        if current[i] in residency:
-            h_list.append(i)
-        else:
-            b_list.append(i)
 
-    if queue_len == 0 and not b_list:
-        if not ffstate.hit_ok or not h_list:
+    arb: Any
+    p: int
+    q: int
+    capacity: int
+    traces: list[list[int]]
+    lengths: list[int]
+    pos: list[int]
+    current: list[int | None]
+    request_tick: list[int]
+    residency: Any
+    protected: Any
+    track_protected: bool
+    metrics: MetricsCollector
+    histograms: list[dict[int, int]]
+    response_logs: list[list[int]] | None
+    probes: tuple
+    probe_stride: int
+    horizon: int
+    state: drain.FFState = field(default_factory=drain.FFState)
+
+    def attempt(self, t, ready, queue_len, fetches, evictions, done_count, makespan):
+        """One quiescent-interval fast-forward attempt at tick ``t``.
+
+        Entry classification splits the ready cores into those whose
+        current reference is resident (H, served this tick) and the rest
+        (B, enqueued this tick). A fully hit-quiescent entry (empty
+        queue, no B) goes to the guaranteed-hit prover; anything else to
+        the FIFO steady-state drain (see :mod:`repro.core.drain`), which
+        every other policy declines once per run. Returns the updated
+        scalars ``(t, ready, queue_len, fetches, evictions, done_count,
+        makespan)``, or ``None`` when no interval was committed (the
+        caller backs off and ticks normally).
+        """
+        current = self.current
+        residency = self.residency
+        h_list: list[int] = []
+        b_list: list[int] = []
+        for i in ready:
+            if current[i] in residency:
+                h_list.append(i)
+            else:
+                b_list.append(i)
+
+        ffstate = self.state
+        if queue_len == 0 and not b_list:
+            if not ffstate.hit_ok or not h_list:
+                return None
+            ffstate.attempts_hit += 1
+            result = self._hit(t, h_list, fetches, evictions, done_count, makespan)
+            if result is not None:
+                ffstate.commits_hit += 1
+            return result
+
+        if not ffstate.plan_ok:
             return None
-        ffstate.attempts_hit += 1
-        result = _attempt_hit_fast_forward(
-            arb, t, q, traces, lengths, pos, current, request_tick,
-            h_list, residency, protected, track_protected, fetches,
-            evictions, done_count, makespan, metrics, histograms,
-            response_logs, probes, probe_stride, ff_horizon, ffstate,
+        ffstate.attempts_miss += 1
+        plan = self.arb.drain_plan(self.q, self.horizon)
+        if plan is None:
+            ffstate.plan_ok = False
+            return None
+        cores = queue_len + len(ready)
+        rounds = drain.max_rounds(self.q, cores, t, plan.horizon)
+        if not rounds:
+            return None
+        result = self._miss(
+            plan, rounds, cores, t, h_list, b_list, fetches, evictions,
+            done_count, makespan,
         )
         if result is not None:
-            ffstate.commits_hit += 1
+            ffstate.commits_miss += 1
         return result
 
-    if not ffstate.plan_ok:
-        return None
-    ffstate.attempts_miss += 1
-    plan = arb.drain_plan(q, ff_horizon)
-    if plan is None:
-        ffstate.plan_ok = False
-        return None
-    h_set = set(h_list)
+    def _miss(
+        self, plan, rounds, cores, t, h_list, b_list, fetches, evictions,
+        done_count, makespan,
+    ):
+        """Commit the FIFO steady-state drain entered at ``t``, if any.
 
-    # Guaranteed-miss windows: per live core, the prefix of upcoming
-    # references that are certain misses (non-resident at entry, no
-    # repeats within the window). The scan is capped for work-bounding
-    # and by the plan's own horizon (cross-remap plans stretch to
-    # max_ticks; legacy plans stop at the next remap boundary).
-    scan_cap = drain.WINDOW_CAP
-    if plan.horizon < drain.UNBOUNDED:
-        span = plan.horizon - t
-        if span < scan_cap:
-            scan_cap = span if span > 1 else 1
-    needs_pages = plan.needs_pages
-    streams: dict[int, list[int]] = {}
-    avail: dict[int, int] = {}
-    completes: dict[int, bool] = {}
-    for i in range(p):
-        cur = current[i]
-        if cur is None:
-            continue
-        trace = traces[i]
-        length = lengths[i]
-        start_pos = pos[i]
-        seen = {cur}
-        j = start_pos + 1
-        j_max = start_pos + scan_cap
-        if j_max > length:
-            j_max = length
-        while j < j_max:
-            page = trace[j]
-            if page in residency or page in seen:
-                break
-            seen.add(page)
-            j += 1
-        window = j - start_pos
-        completes[i] = j >= length
-        # An H core's current serve is not a grant; everything else in
-        # the window (and a non-H core's whole window) needs a channel.
-        avail[i] = window - 1 if i in h_set else window
-        if needs_pages:
-            streams[i] = trace[start_pos:j]
+        The bulk apply replays per-tick effects exactly: serves,
+        response times, evictions in exact LRU victim order, the
+        surviving fetched pages, and probe samples.
+        """
+        p = self.p
+        q = self.q
+        traces = self.traces
+        lengths = self.lengths
+        pos = self.pos
+        current = self.current
+        request_tick = self.request_tick
+        residency = self.residency
+        h_set = set(h_list)
 
-    sched = drain.plan_drain(
-        plan,
-        start=t,
-        channels=q,
-        capacity=capacity,
-        resident0=len(residency),
-        queue0=queue_len,
-        h_threads=h_list,
-        b_threads=b_list,
-        grant_avail=avail,
-        completes=completes,
-        page_streams=streams if needs_pages else None,
-    )
-    if sched is None:
-        return None
-    end = sched.end
-
-    # ---- read-only derivations (no state touched yet) ----------------
-    n_h = len(h_list)
-    h_pages = [current[i] for i in h_list]
-    next_idx = list(pos)
-    serve_pages: list[int] = []
-    for i in sched.serve_threads:
-        serve_pages.append(traces[i][next_idx[i]])
-        next_idx[i] += 1
-
-    total_evict = sched.total_evictions
-    resident0 = len(residency)
-    n_entry_victims = total_evict if total_evict < resident0 else resident0
-    m_fetched_victims = total_evict - n_entry_victims
-    if m_fetched_victims > len(serve_pages) - n_h:
-        return None  # planner drift; unreachable by construction
-
-    # Exact LRU victim order across the interval: entry-resident non-H
-    # pages front-to-back (their relative order survives per-tick
-    # protected stashing), then the entry hits in serve (core) order,
-    # then interval-fetched pages in serve order. Eviction feasibility
-    # in the plan guarantees per-tick eviction never needed a protected
-    # page, so consuming this sequence reproduces it exactly.
-    evict_list: list[int] = []
-    if n_entry_victims:
-        h_page_set = set(h_pages)
-        for page in residency:
-            if page in h_page_set:
+        # Guaranteed-miss windows: per live core, the prefix of upcoming
+        # references that are certain misses (non-resident at entry, no
+        # repeats within the window). ``bound`` is the most whole rounds
+        # still possible; a core whose window allows fewer grants lowers
+        # it, so later cores scan at most bound + 2 references, and the
+        # attempt stops as soon as the bound rules an interval out.
+        bound = rounds if rounds < drain.WINDOW_CAP - 2 else drain.WINDOW_CAP - 2
+        avail: dict[int, int] = {}
+        completes: dict[int, bool] = {}
+        for i in range(p):
+            cur = current[i]
+            if cur is None:
                 continue
-            evict_list.append(page)
-            if len(evict_list) == n_entry_victims:
-                break
-        if len(evict_list) < n_entry_victims:
-            for page in h_pages:
+            trace = traces[i]
+            length = lengths[i]
+            start_pos = pos[i]
+            seen = {cur}
+            j = start_pos + 1
+            j_max = start_pos + bound + 2
+            if j_max > length:
+                j_max = length
+            while j < j_max:
+                page = trace[j]
+                if page in residency or page in seen:
+                    break
+                seen.add(page)
+                j += 1
+            # An H core's current serve is not a grant; everything else
+            # in the window (and a non-H core's whole window) needs one.
+            grants = j - start_pos - (i in h_set)
+            done = j >= length
+            if grants <= bound and not (grants == 0 and done and i in h_set):
+                bound = grants - 1
+                if bound < 2 or bound * cores // q < drain.MIN_FF_TICKS:
+                    return None
+            avail[i] = grants
+            completes[i] = done
+
+        sched = drain.plan_drain(
+            plan,
+            start=t,
+            channels=q,
+            capacity=self.capacity,
+            resident0=len(residency),
+            h_threads=h_list,
+            b_threads=b_list,
+            grant_avail=avail,
+            completes=completes,
+        )
+        if sched is None:
+            return None
+        end = sched.end
+
+        # ---- read-only derivations (no state touched yet) ----------------
+        total_evict = sched.total_evictions
+        resident0 = len(residency)
+        n_entry_victims = total_evict if total_evict < resident0 else resident0
+        m_fetched_victims = total_evict - n_entry_victims
+        # Only the fetches that survive the interval's evictions enter
+        # the LRU; the first m are fetched and evicted again inside it.
+        f_threads, f_rounds, _ = sched.fetched_events(m_fetched_victims)
+        fetched_pages = [
+            traces[i][pos[i] + r + (i in h_set)]
+            for i, r in zip(f_threads.tolist(), f_rounds.tolist())
+        ]
+
+        # Exact LRU victim order across the interval: entry-resident non-H
+        # pages front-to-back (their relative order survives per-tick
+        # protected stashing), then the entry hits in serve (core) order,
+        # then interval-fetched pages in serve order. Eviction feasibility
+        # in the plan guarantees per-tick eviction never needed a protected
+        # page, so consuming this sequence reproduces it exactly.
+        h_pages = [current[i] for i in h_list]
+        evict_list: list[int] = []
+        if n_entry_victims:
+            h_page_set = set(h_pages)
+            for page in residency:
+                if page in h_page_set:
+                    continue
                 evict_list.append(page)
                 if len(evict_list) == n_entry_victims:
                     break
+            if len(evict_list) < n_entry_victims:
+                for page in h_pages:
+                    evict_list.append(page)
+                    if len(evict_list) == n_entry_victims:
+                        break
 
-    grant_ticks = sched.grant_ticks
-    g_idx = len(grant_ticks)
-    while g_idx > 0 and grant_ticks[g_idx - 1] == end - 1:
-        g_idx -= 1
-    inflight_threads = sched.grant_threads[g_idx:]
+        probes = self.probes
+        if probes and not drain.sampled(t, end, self.probe_stride):
+            probes = ()
+        if probes:
+            entry_live = np.array([c is not None for c in current], dtype=bool)
+            probe_rt = np.asarray(request_tick, dtype=np.int64)
 
-    serve_ticks_list = sched.serve_ticks
-    s_idx = len(serve_ticks_list)
-    while s_idx > 0 and serve_ticks_list[s_idx - 1] == end - 1:
-        s_idx -= 1
-
-    serve_threads_np = np.asarray(sched.serve_threads, dtype=np.int64)
-    serve_ticks_np = np.asarray(sched.serve_ticks, dtype=np.int64)
-    entry_rt = np.asarray(request_tick, dtype=np.int64)
-    _, th_sorted, tk_sorted, w_sorted = drain.response_times(
-        serve_threads_np, serve_ticks_np, entry_rt
-    )
-    if probes:
-        entry_live = np.array([c is not None for c in current], dtype=bool)
-        probe_rt = entry_rt.copy()
-    fetches0 = fetches
-    evictions0 = evictions
-
-    # ---- commit -------------------------------------------------------
-    plan.commit()
-    drain.apply_serve_metrics(histograms, response_logs, th_sorted, w_sorted, p)
-
-    counts = np.bincount(serve_threads_np, minlength=p)
-    bounds = np.searchsorted(th_sorted, np.arange(p + 1))
-    completion_tick: dict[int, int] = {}
-    for i in np.flatnonzero(counts).tolist():
-        served = int(counts[i])
-        last_serve = int(tk_sorted[bounds[i + 1] - 1])
-        j = pos[i] + served
-        if j >= lengths[i]:
-            ct = last_serve + 1
-            metrics.record_completion(i, ct)
-            done_count += 1
-            if ct > makespan:
-                makespan = ct
-            completion_tick[i] = last_serve
-            current[i] = None
-            pos[i] = j - 1
-        else:
-            pos[i] = j
-            current[i] = traces[i][j]
-            request_tick[i] = last_serve + 1
-
-    for page in evict_list:
-        del residency[page]
-    if n_h:
-        evicted = set(evict_list)
-        for page in h_pages:
-            if page not in evicted:
-                residency.move_to_end(page)
-    fetched_pages = serve_pages[n_h:]
-    for page in fetched_pages[m_fetched_victims:]:
-        residency[page] = None
-    inflight_pages = [current[i] for i in inflight_threads]
-    for page in inflight_pages:
-        residency[page] = None
-
-    queue_len = sched.final_queue_len
-    fetches += len(sched.grant_threads)
-    evictions += total_evict
-
-    if track_protected:
-        protected.clear()
-        for cur in current:
-            if cur is not None:
-                protected.add(cur)
-
-    new_ready = [i for i in sched.serve_threads[s_idx:] if current[i] is not None]
-    new_ready.extend(inflight_threads)
-    new_ready.sort()
-
-    if probes:
-        from ..obs.probe import materialize_interval_samples
-
-        materialize_interval_samples(
-            probes,
-            start=t,
-            end=end,
-            stride=probe_stride,
-            channels=q,
-            fetches0=fetches0,
-            evictions0=evictions0,
-            grants_per_tick=sched.grants_per_tick,
-            evicts_per_tick=sched.evicts_per_tick,
-            queue_per_tick=sched.queue_per_tick,
-            resident_per_tick=sched.resident_per_tick,
-            serve_threads=sched.serve_threads,
-            serve_ticks=sched.serve_ticks,
-            grant_threads=sched.grant_threads,
-            grant_ticks=sched.grant_ticks,
-            request_tick=probe_rt,
-            live=entry_live,
-            completion_tick=completion_tick,
-        )
-
-    ffstate.commits_miss += 1
-    return end, new_ready, queue_len, fetches, evictions, done_count, makespan
-
-
-def _attempt_hit_fast_forward(
-    arb,
-    t,
-    q,
-    traces,
-    lengths,
-    pos,
-    current,
-    request_tick,
-    h_list,
-    residency,
-    protected,
-    track_protected,
-    fetches,
-    evictions,
-    done_count,
-    makespan,
-    metrics,
-    histograms,
-    response_logs,
-    probes,
-    probe_stride,
-    ff_horizon,
-    ffstate,
-):
-    """Bulk-retire a guaranteed-*hit* stretch starting at tick ``t``.
-
-    Preconditions (established by the caller): the request queue is
-    empty and every live core's current reference is resident. No fetch
-    can then happen until some core reaches a non-resident reference,
-    and without fetches there are no evictions — residency membership
-    is frozen and each core serves one reference per tick while its
-    *hit run* (maximal prefix of resident upcoming references) lasts.
-    The interval ends one tick before the first non-completing core
-    would classify a non-resident reference.
-
-    The bulk apply replays per-tick effects exactly: response times are
-    ``t - request_tick + 1`` for a core's first serve and 1 afterwards,
-    the LRU order after the interval is "untouched pages first, then
-    touched pages by last touch" (one ``move_to_end`` sweep), and the
-    policy replays its elided ``begin_tick`` effects through
-    :meth:`~repro.core.arbitration.ArbitrationPolicy.skip_idle_ticks`
-    (refusal permanently disables this prover via ``ffstate.hit_ok``).
-    Returns the same scalar tuple as :func:`_attempt_fast_forward` or
-    ``None``.
-    """
-    cap = drain.WINDOW_CAP
-    if ff_horizon < drain.UNBOUNDED:
-        span = ff_horizon - t
-        if span < cap:
-            cap = span
-    if cap < drain.MIN_FF_TICKS:
-        return None
-
-    # Per-core hit runs. The scan cost is proportional to the run (it
-    # stops at the first non-resident reference), so failures are cheap
-    # and long scans always pay for themselves in elided ticks.
-    runs: dict[int, int] = {}
-    comp: dict[int, bool] = {}
-    for i in h_list:
-        trace = traces[i]
-        length = lengths[i]
-        start_pos = pos[i]
-        j = start_pos
-        j_max = start_pos + cap
-        if j_max > length:
-            j_max = length
-        while j < j_max and trace[j] in residency:
-            j += 1
-        runs[i] = j - start_pos
-        comp[i] = j >= length
-    noncomp = [runs[i] for i in h_list if not comp[i]]
-    k = min(noncomp) if noncomp else max(runs.values())
-    if k < drain.MIN_FF_TICKS:
-        return None
-    end = t + k
-
-    # ---- read-only derivations (no state touched yet) ----------------
-    s = {i: k if lengths[i] - pos[i] > k else lengths[i] - pos[i] for i in h_list}
-    serve_pages_chrono: list[int] = []
-    serve_threads: list[int] = []
-    serve_ticks: list[int] = []
-    for off in range(k):
-        tau = t + off
+        # ---- commit -------------------------------------------------------
+        plan.commit()
+        histograms = self.histograms
+        response_logs = self.response_logs
+        metrics = self.metrics
+        # Entry hits serve at t; one with no window grant left completes.
+        completion_tick: dict[int, int] = {}
         for i in h_list:
-            if s[i] > off:
-                serve_threads.append(i)
-                serve_ticks.append(tau)
-                serve_pages_chrono.append(traces[i][pos[i] + off])
-    if probes:
-        entry_live = np.array([c is not None for c in current], dtype=bool)
-        probe_rt = np.asarray(request_tick, dtype=np.int64).copy()
-    resident0 = len(residency)
-
-    # ---- commit -------------------------------------------------------
-    # The policy goes first: it either replays every elided begin_tick
-    # (remaps) or refuses, in which case nothing has been mutated yet
-    # and the per-tick loop takes over for good.
-    if not arb.skip_idle_ticks(t, end):
-        ffstate.hit_ok = False
-        return None
-
-    # LRU order after the interval: untouched pages keep their relative
-    # order at the front; touched pages follow, ordered by *last* touch.
-    # One move_to_end sweep in last-touch order reproduces the per-tick
-    # touch sequence's final order exactly.
-    last_order = list(dict.fromkeys(reversed(serve_pages_chrono)))
-    for page in reversed(last_order):
-        residency.move_to_end(page)
-
-    completion_tick: dict[int, int] = {}
-    new_ready: list[int] = []
-    for i in h_list:
-        si = s[i]
-        hist = histograms[i]
-        w0 = t - request_tick[i] + 1
-        hist[w0] = hist.get(w0, 0) + 1
-        if si > 1:
-            hist[1] = hist.get(1, 0) + si - 1
-        if response_logs is not None:
-            response_logs[i].append(w0)
-            if si > 1:
-                response_logs[i].extend([1] * (si - 1))
-        j = pos[i] + si
-        if j >= lengths[i]:
-            ct = t + si
-            metrics.record_completion(i, ct)
-            done_count += 1
-            if ct > makespan:
-                makespan = ct
-            completion_tick[i] = t + si - 1
-            current[i] = None
-            pos[i] = j - 1
-        else:
+            w = t - request_tick[i] + 1
+            hist = histograms[i]
+            hist[w] = hist.get(w, 0) + 1
+            if response_logs is not None:
+                response_logs[i].append(w)
+            if pos[i] + 1 >= lengths[i]:
+                metrics.record_completion(i, t + 1)
+                done_count += 1
+                if t + 1 > makespan:
+                    makespan = t + 1
+                completion_tick[i] = t
+                current[i] = None
+        # Granted cores serve periodically: the first serve answers the
+        # request pending at entry (or, for an entry hit, the one issued
+        # right after its entry serve); each later one waits a period.
+        d = sched.period
+        cores, firsts, counts = sched.grant_serves()
+        for i, first, n in zip(cores.tolist(), firsts.tolist(), counts.tolist()):
+            w = first - t if i in h_set else first - request_tick[i] + 1
+            hist = histograms[i]
+            hist[w] = hist.get(w, 0) + 1
+            if n > 1:
+                hist[d] = hist.get(d, 0) + n - 1
+            if response_logs is not None:
+                log = response_logs[i]
+                log.append(w)
+                if n > 1:
+                    log.extend([d] * (n - 1))
+            j = pos[i] + n + (i in h_set)
             pos[i] = j
             current[i] = traces[i][j]
-            request_tick[i] = end
-            new_ready.append(i)
+            request_tick[i] = first + (n - 1) * d + 1
 
-    if track_protected:
-        protected.clear()
-        for cur in current:
-            if cur is not None:
-                protected.add(cur)
+        for page in evict_list:
+            del residency[page]
+        if h_pages:
+            evicted = set(evict_list)
+            for page in h_pages:
+                if page not in evicted:
+                    residency.move_to_end(page)
+        for page in fetched_pages:
+            residency[page] = None
+        for i in sched.inflight().tolist():
+            residency[current[i]] = None
 
-    if probes:
-        from ..obs.probe import materialize_interval_samples
+        if self.track_protected:
+            protected = self.protected
+            protected.clear()
+            for cur in current:
+                if cur is not None:
+                    protected.add(cur)
 
-        materialize_interval_samples(
-            probes,
-            start=t,
-            end=end,
-            stride=probe_stride,
-            channels=q,
-            fetches0=fetches,
-            evictions0=evictions,
-            grants_per_tick=[0] * k,
-            evicts_per_tick=[0] * k,
-            queue_per_tick=[0] * k,
-            resident_per_tick=[resident0] * k,
-            serve_threads=serve_threads,
-            serve_ticks=serve_ticks,
-            grant_threads=[],
-            grant_ticks=[],
-            request_tick=probe_rt,
-            live=entry_live,
-            completion_tick=completion_tick,
+        # Cores served on the last tick, plus the last tick's grants
+        # (fetched, served after the jump): the round's last two chunks.
+        new_ready = sorted(sched.round1[-2 * q :].tolist())
+
+        if probes:
+            from ..obs.probe import materialize_interval_samples
+
+            materialize_interval_samples(
+                probes,
+                start=t,
+                end=end,
+                stride=self.probe_stride,
+                channels=q,
+                fetches0=fetches,
+                evictions0=evictions,
+                request_tick=probe_rt,
+                live=entry_live,
+                completion_tick=completion_tick,
+                **sched.probe_histories(),
+            )
+
+        return (
+            end,
+            new_ready,
+            sched.final_queue_len,
+            fetches + sched.grants,
+            evictions + total_evict,
+            done_count,
+            makespan,
         )
 
-    return end, new_ready, 0, fetches, evictions, done_count, makespan
+    def _hit(self, t, h_list, fetches, evictions, done_count, makespan):
+        """Bulk-retire a guaranteed-*hit* stretch starting at tick ``t``.
+
+        Preconditions (established by :meth:`attempt`): the request
+        queue is empty and every live core's current reference is
+        resident. No fetch can then happen until some core reaches a
+        non-resident reference, and without fetches there are no
+        evictions — residency membership is frozen and each core serves
+        one reference per tick while its *hit run* (maximal prefix of
+        resident upcoming references) lasts. The interval ends one tick
+        before the first non-completing core would classify a
+        non-resident reference.
+
+        The bulk apply replays per-tick effects exactly: response times
+        are ``t - request_tick + 1`` for a core's first serve and 1
+        afterwards, the LRU order after the interval is "untouched pages
+        first, then touched pages by last touch" (one ``move_to_end``
+        sweep), and the policy replays its elided ``begin_tick`` effects
+        through :meth:`~repro.core.arbitration.ArbitrationPolicy.skip_idle_ticks`
+        (refusal permanently disables this prover via ``state.hit_ok``).
+        Returns the same scalar tuple as :meth:`attempt` or ``None``.
+        """
+        traces = self.traces
+        lengths = self.lengths
+        pos = self.pos
+        current = self.current
+        request_tick = self.request_tick
+        residency = self.residency
+        cap = drain.WINDOW_CAP
+        if self.horizon < drain.UNBOUNDED:
+            span = self.horizon - t
+            if span < cap:
+                cap = span
+        if cap < drain.MIN_FF_TICKS:
+            return None
+
+        # Per-core hit runs. The scan cost is proportional to the run (it
+        # stops at the first non-resident reference), so failures are cheap
+        # and long scans always pay for themselves in elided ticks.
+        runs: dict[int, int] = {}
+        comp: dict[int, bool] = {}
+        for i in h_list:
+            trace = traces[i]
+            length = lengths[i]
+            start_pos = pos[i]
+            j = start_pos
+            j_max = start_pos + cap
+            if j_max > length:
+                j_max = length
+            while j < j_max and trace[j] in residency:
+                j += 1
+            runs[i] = j - start_pos
+            comp[i] = j >= length
+        noncomp = [runs[i] for i in h_list if not comp[i]]
+        k = min(noncomp) if noncomp else max(runs.values())
+        if k < drain.MIN_FF_TICKS:
+            return None
+        end = t + k
+
+        # ---- read-only derivations (no state touched yet) ----------------
+        s = {i: k if lengths[i] - pos[i] > k else lengths[i] - pos[i] for i in h_list}
+        probes = self.probes
+        if probes and not drain.sampled(t, end, self.probe_stride):
+            probes = ()
+        if probes:
+            entry_live = np.array([c is not None for c in current], dtype=bool)
+            probe_rt = np.asarray(request_tick, dtype=np.int64).copy()
+            serve_threads: list[int] = []
+            serve_ticks: list[int] = []
+            for off in range(k):
+                for i in h_list:
+                    if s[i] > off:
+                        serve_threads.append(i)
+                        serve_ticks.append(t + off)
+        # Pages in reverse chronological serve order, deduplicated: the
+        # LRU order of touched pages after the interval, newest first.
+        last_order: dict[int, None] = {}
+        for off in range(k - 1, -1, -1):
+            for i in reversed(h_list):
+                if s[i] > off:
+                    last_order.setdefault(traces[i][pos[i] + off])
+        resident0 = len(residency)
+
+        # ---- commit -------------------------------------------------------
+        # The policy goes first: it either replays every elided begin_tick
+        # (remaps) or refuses, in which case nothing has been mutated yet
+        # and the per-tick loop takes over for good.
+        if not self.arb.skip_idle_ticks(t, end):
+            self.state.hit_ok = False
+            return None
+
+        # One move_to_end sweep in last-touch order reproduces the
+        # per-tick touch sequence's final order exactly: untouched pages
+        # keep their relative order at the front.
+        for page in reversed(list(last_order)):
+            residency.move_to_end(page)
+
+        histograms = self.histograms
+        response_logs = self.response_logs
+        metrics = self.metrics
+        completion_tick: dict[int, int] = {}
+        new_ready: list[int] = []
+        for i in h_list:
+            si = s[i]
+            hist = histograms[i]
+            w0 = t - request_tick[i] + 1
+            hist[w0] = hist.get(w0, 0) + 1
+            if si > 1:
+                hist[1] = hist.get(1, 0) + si - 1
+            if response_logs is not None:
+                response_logs[i].append(w0)
+                if si > 1:
+                    response_logs[i].extend([1] * (si - 1))
+            j = pos[i] + si
+            if j >= lengths[i]:
+                ct = t + si
+                metrics.record_completion(i, ct)
+                done_count += 1
+                if ct > makespan:
+                    makespan = ct
+                completion_tick[i] = t + si - 1
+                current[i] = None
+                pos[i] = j - 1
+            else:
+                pos[i] = j
+                current[i] = traces[i][j]
+                request_tick[i] = end
+                new_ready.append(i)
+
+        if self.track_protected:
+            protected = self.protected
+            protected.clear()
+            for cur in current:
+                if cur is not None:
+                    protected.add(cur)
+
+        if probes:
+            from ..obs.probe import materialize_interval_samples
+
+            materialize_interval_samples(
+                probes,
+                start=t,
+                end=end,
+                stride=self.probe_stride,
+                channels=self.q,
+                fetches0=fetches,
+                evictions0=evictions,
+                grants_per_tick=[0] * k,
+                evicts_per_tick=[0] * k,
+                queue_per_tick=[0] * k,
+                resident_per_tick=[resident0] * k,
+                serve_threads=serve_threads,
+                serve_ticks=serve_ticks,
+                grant_threads=[],
+                grant_ticks=[],
+                request_tick=probe_rt,
+                live=entry_live,
+                completion_tick=completion_tick,
+            )
+
+        return end, new_ready, 0, fetches, evictions, done_count, makespan
 
 
 class Simulator:
@@ -661,7 +667,6 @@ class Simulator:
         # attestation when there is one, else it is checked lazily at
         # the first attempt; a policy without a drain plan disables it
         # for the run. Results are bit-identical either way.
-        ff_state = drain.FFState()
         ff_eligible = (
             drain.fast_forward_enabled()
             and cfg.replacement == "lru"
@@ -674,10 +679,29 @@ class Simulator:
         ff_checked_disjoint = not ff_eligible or self.attestation is not None
         ff_next_try = 0
         ff_backoff = drain.BACKOFF_MIN
-        ff_horizon = (max_ticks + 1) if max_ticks is not None else drain.UNBOUNDED
         ff_intervals = 0
         ff_elided = 0
         ff_wall = 0.0
+        ff = _FastForward(
+            arb=arb,
+            p=p,
+            q=q,
+            capacity=capacity,
+            traces=traces,
+            lengths=lengths,
+            pos=pos,
+            current=current,
+            request_tick=request_tick,
+            residency=residency,
+            protected=protected,
+            track_protected=track_protected,
+            metrics=metrics,
+            histograms=histograms,
+            response_logs=response_logs,
+            probes=probes,
+            probe_stride=probe_stride,
+            horizon=(max_ticks + 1) if max_ticks is not None else drain.UNBOUNDED,
+        )
 
         t = 0
         makespan = 0
@@ -694,16 +718,12 @@ class Simulator:
                     if not drain.traces_disjoint(self.traces):
                         ff_eligible = False
                 if ff_eligible:
-                    ff = _attempt_fast_forward(
-                        ff_state, arb, t, p, q, capacity, traces,
-                        lengths, pos, current, request_tick, ready,
-                        residency, protected, track_protected,
-                        queue_len, fetches, evictions, done_count,
-                        makespan, metrics, histograms, response_logs,
-                        probes, probe_stride, ff_horizon,
+                    jump = ff.attempt(
+                        t, ready, queue_len, fetches, evictions,
+                        done_count, makespan,
                     )
-                    if ff is None:
-                        if not ff_state.eligible:
+                    if jump is None:
+                        if not ff.state.eligible:
                             ff_eligible = False
                         else:
                             ff_next_try = t + ff_backoff
@@ -711,9 +731,9 @@ class Simulator:
                     else:
                         ff_backoff = drain.BACKOFF_MIN
                         ff_intervals += 1
-                        ff_elided += ff[0] - t
+                        ff_elided += jump[0] - t
                         (t, ready, queue_len, fetches, evictions,
-                         done_count, makespan) = ff
+                         done_count, makespan) = jump
                         ff_wall += time.perf_counter() - _ff_t0
                         if max_ticks is not None and t > max_ticks:
                             raise SimulationLimitError(
@@ -843,7 +863,7 @@ class Simulator:
             from ..obs.metrics import record_phase
 
             record_phase("fast_forward", ff_wall)
-        drain.record_ff_engagement(cfg.arbitration, ff_state)
+        drain.record_ff_engagement(cfg.arbitration, ff.state)
         remap_count = getattr(arb, "remap_count", 0)
         wall = time.perf_counter() - start
         result = metrics.finalize(

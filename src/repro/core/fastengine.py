@@ -80,7 +80,8 @@ from __future__ import annotations
 import heapq
 import os
 import time
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -114,7 +115,9 @@ VECTOR_THRESHOLD = 24
 #: first-pass cap for the fast-forward window scan: attempts that fail
 #: (hit-heavy regimes, tiny windows) must not pay a full-trace scan per
 #: live core. Chosen above the adversarial families' cycle lengths so
-#: their windows resolve exactly in one pass.
+#: their windows resolve exactly in one pass. The miss-window scan
+#: starts at an eighth of it and grows 8x per pass while the cap itself
+#: is what binds.
 _SCAN_STAGE_CAP = 96
 
 _vector_threshold_override: int | None = None
@@ -317,522 +320,489 @@ def _supports(
     return _attestation_ok(attestation)
 
 
-def _attempt_fast_forward(
-    ffstate,
-    arb,
-    t,
-    p,
-    q,
-    capacity,
-    big_trace,
-    offsets,
-    lengths,
-    pos,
-    current,
-    request_tick,
-    ready,
-    resident,
-    resident_count,
-    last_stamp,
-    heap,
-    stamp_stride,
-    queue_len,
-    fetches,
-    evictions,
-    done_count,
-    makespan,
-    metrics,
-    served_threads,
-    served_w,
-    probes,
-    probe_stride,
-    ff_horizon,
-):
-    """One quiescent-interval fast-forward attempt at tick ``t``.
+@dataclass(slots=True)
+class _FastForward:
+    """Per-run fast-forward state of the fast engine.
 
-    The fast engine's counterpart of the reference engine's attempt
-    (see :mod:`repro.core.drain` for the model): identical planning,
-    but the bulk apply speaks timestamp-LRU. Serve touches become one
-    scatter into ``last_stamp`` (per-tick-stale heap entries migrate
-    lazily, exactly as on the hit path), the exact LRU victim sequence
-    falls out of popping the heap minimum with *no* protection
-    predicate (plan feasibility already guarantees no protected page is
-    reached), and the response times land in the chronological serve
-    buffers the end-of-run aggregation consumes anyway.
-
-    Dispatches to the guaranteed-*hit* prover
-    (:func:`_attempt_hit_fast_forward`) when the entry tick is fully
-    quiescent the other way round — empty queue, every ready reference
-    resident — and to the guaranteed-miss drain planner otherwise.
-    ``ffstate`` (a :class:`repro.core.drain.FFState`) tracks which
-    provers are permanently unavailable for this run and counts
-    attempts/commits per window kind. Returns the updated scalars
-    ``(t, ready, queue_len, fetches, evictions, done_count, makespan,
-    resident_count)`` or ``None`` when no interval could be committed.
+    The counterpart of the reference engine's
+    :class:`repro.core.engine._FastForward`: identical provers, but the
+    bulk apply speaks timestamp-LRU. Serve touches become one scatter
+    into ``last_stamp`` (per-tick-stale heap entries migrate lazily,
+    exactly as on the hit path), the exact LRU victim sequence falls out
+    of popping the heap minimum with *no* protection predicate (plan
+    feasibility already guarantees no protected page is reached), and
+    the response times land in the chronological serve buffers the
+    end-of-run aggregation consumes anyway.
     """
-    # Entry classification (H serves this tick, B enqueues this tick).
-    pages = current[ready]
-    flags = resident[pages]
-    h_arr = ready[flags]
-    b_arr = ready[~flags]
 
-    if queue_len == 0 and not len(b_arr):
-        if not ffstate.hit_ok or not len(h_arr):
+    arb: Any
+    p: int
+    q: int
+    capacity: int
+    big_trace: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    pos: np.ndarray
+    current: np.ndarray
+    request_tick: np.ndarray
+    resident: np.ndarray
+    last_stamp: np.ndarray
+    heap: list[tuple[int, int]]
+    stamp_stride: int
+    metrics: MetricsCollector
+    served_threads: list[np.ndarray]
+    served_w: list[np.ndarray]
+    probes: tuple
+    probe_stride: int
+    horizon: int
+    state: drain.FFState = field(default_factory=drain.FFState)
+
+    def attempt(
+        self, t, ready, queue_len, fetches, evictions, done_count, makespan,
+        resident_count,
+    ):
+        """One quiescent-interval fast-forward attempt at tick ``t``.
+
+        Dispatches to the guaranteed-*hit* prover when the entry tick is
+        fully hit-quiescent (empty queue, every ready reference
+        resident) and to the FIFO steady-state drain otherwise. Returns
+        the updated scalars ``(t, ready, queue_len, fetches, evictions,
+        done_count, makespan, resident_count)`` or ``None`` when no
+        interval was committed.
+        """
+        pages = self.current[ready]
+        flags = self.resident[pages]
+        h_arr = ready[flags]
+        b_arr = ready[~flags]
+
+        ffstate = self.state
+        if queue_len == 0 and not len(b_arr):
+            if not ffstate.hit_ok or not len(h_arr):
+                return None
+            ffstate.attempts_hit += 1
+            result = self._hit(
+                t, h_arr, fetches, evictions, done_count, makespan,
+                resident_count,
+            )
+            if result is not None:
+                ffstate.commits_hit += 1
+            return result
+
+        if not ffstate.plan_ok:
             return None
-        ffstate.attempts_hit += 1
-        result = _attempt_hit_fast_forward(
-            arb, t, p, q, big_trace, offsets, lengths, pos, current,
-            request_tick, h_arr, resident, resident_count, last_stamp,
-            stamp_stride, fetches, evictions, done_count, makespan,
-            metrics, served_threads, served_w, probes, probe_stride,
-            ff_horizon, ffstate,
+        ffstate.attempts_miss += 1
+        plan = self.arb.drain_plan(self.q, self.horizon)
+        if plan is None:
+            ffstate.plan_ok = False
+            return None
+        cores = queue_len + len(ready)
+        rounds = drain.max_rounds(self.q, cores, t, plan.horizon)
+        if not rounds:
+            return None
+        result = self._miss(
+            plan, rounds, cores, t, h_arr, b_arr, fetches, evictions,
+            done_count, makespan, resident_count,
         )
         if result is not None:
-            ffstate.commits_hit += 1
+            ffstate.commits_miss += 1
         return result
 
-    if not ffstate.plan_ok:
-        return None
-    ffstate.attempts_miss += 1
-    plan = arb.drain_plan(q, ff_horizon)
-    if plan is None:
-        ffstate.plan_ok = False
-        return None
+    def _scan_windows(self, bound, cores, is_h):
+        """Guaranteed-miss windows of every live core in one pass.
 
-    n_h = len(h_arr)
-    is_h = np.zeros(p, dtype=bool)
-    is_h[h_arr] = True
+        Scans at most ``bound + 2`` references per core. Returns
+        ``(avail, completes, bound)``: window grants and completion
+        flags per live core, and the most whole rounds still possible;
+        ``None`` when some core rules an interval out.
+        """
+        live = np.flatnonzero(self.current >= 0)
+        lengths = self.lengths[live]
+        idx = self.pos[live][:, None] + np.arange(bound + 2, dtype=np.int64)
+        past_end = idx >= lengths[:, None]
+        np.minimum(idx, lengths[:, None] - 1, out=idx)
+        pages = self.big_trace[self.offsets[live][:, None] + idx]
+        # A window reference is bad if resident at entry, a repeat of an
+        # earlier window reference, or past the trace end; the window
+        # ends at the first bad position. Namespaces are disjoint, so a
+        # page repeated anywhere in the block repeats within its row.
+        flat = pages.ravel()
+        _, first_idx, inv = np.unique(flat, return_index=True, return_inverse=True)
+        bad = (first_idx[inv] != np.arange(len(flat))).reshape(pages.shape)
+        bad |= self.resident[pages]
+        bad |= past_end
+        bad[:, 0] = False  # the current reference itself gets a free pass
+        window = np.where(bad.any(axis=1), bad.argmax(axis=1), bound + 2)
+        done = self.pos[live] + window >= self.lengths[live]
+        h = is_h[live]
+        grants = window - h
+        # An entry hit with no grant left that completes drops out of
+        # the drain; any other core with fewer than 3 grants rules out
+        # two whole rounds.
+        binding = ~(h & done & (grants == 0))
+        if binding.any():
+            bound = min(bound, int(grants[binding].min()) - 1)
+        if bound < 2 or bound * cores // self.q < drain.MIN_FF_TICKS:
+            return None
+        keys = live.tolist()
+        return (
+            dict(zip(keys, grants.tolist())),
+            dict(zip(keys, done.tolist())),
+            bound,
+        )
 
-    # Guaranteed-miss windows, vectorized per core: a window reference
-    # is bad if resident at entry or a repeat of an earlier window
-    # reference; the window ends at the first bad position. The scan is
-    # bounded by the plan's own horizon (cross-remap plans stretch to
-    # max_ticks; legacy plans stop at the next remap boundary).
-    full_cap = drain.WINDOW_CAP
-    if plan.horizon < drain.UNBOUNDED:
-        span = plan.horizon - t
-        if span < full_cap:
-            full_cap = span if span > 1 else 1
-    live = np.flatnonzero(current >= 0).tolist()
-    needs_pages = plan.needs_pages
+    def _miss(
+        self, plan, rounds, cores, t, h_arr, b_arr, fetches, evictions,
+        done_count, makespan, resident_count,
+    ):
+        """Commit the FIFO steady-state drain entered at ``t``, if any."""
+        p = self.p
+        q = self.q
+        is_h = np.zeros(p, dtype=bool)
+        is_h[h_arr] = True
 
-    def scan_windows(scan_cap):
-        avail: dict[int, int] = {}
-        completes: dict[int, bool] = {}
-        streams: dict[int, np.ndarray] = {}
-        truncated = False
-        for i in live:
-            start_pos = int(pos[i])
-            length = int(lengths[i])
-            off = int(offsets[i])
-            j_max = start_pos + scan_cap
-            if j_max > length:
-                j_max = length
-            arr = big_trace[off + start_pos : off + j_max]
-            bad = resident[arr].copy()
-            if len(arr) > 1:
-                _, first_idx, inv = np.unique(
-                    arr, return_index=True, return_inverse=True
-                )
-                np.logical_or(
-                    bad, first_idx[inv] != np.arange(len(arr)), out=bad
-                )
-            bad[0] = False  # the current reference itself gets a free pass
-            window = int(bad.argmax()) if bad.any() else len(arr)
-            if window == scan_cap < full_cap and start_pos + window < length:
-                truncated = True
-            completes[i] = start_pos + window >= length
-            avail[i] = window - 1 if is_h[i] else window
-            if needs_pages:
-                streams[i] = arr
-        return avail, completes, streams, truncated
-
-    def plan_with(avail, completes, streams, the_plan):
-        return drain.plan_drain(
-            the_plan,
+        # Staged scan: a capped first pass decides most failed attempts
+        # cheaply; a longer pass runs only while the stage cap itself is
+        # the binding limit.
+        full = rounds if rounds < drain.WINDOW_CAP - 2 else drain.WINDOW_CAP - 2
+        stage = _SCAN_STAGE_CAP // 8 if _SCAN_STAGE_CAP // 8 < full else full
+        while True:
+            scan = self._scan_windows(stage, cores, is_h)
+            if scan is None:
+                return None
+            if scan[2] < stage or stage == full:
+                break
+            stage = 8 * stage if 8 * stage < full else full
+        sched = drain.plan_drain(
+            plan,
             start=t,
             channels=q,
-            capacity=capacity,
+            capacity=self.capacity,
             resident0=resident_count,
-            queue0=queue_len,
             h_threads=h_arr.tolist(),
             b_threads=b_arr.tolist(),
-            grant_avail=avail,
-            completes=completes,
-            page_streams=streams if needs_pages else None,
+            grant_avail=scan[0],
+            completes=scan[1],
+        )
+        if sched is None:
+            return None
+        end = sched.end
+
+        # ---- read-only derivations (no state touched yet) ----------------
+        total_evict = sched.total_evictions
+        n_entry_victims = (
+            total_evict if total_evict < resident_count else resident_count
+        )
+        m_fetched_victims = total_evict - n_entry_victims
+
+        # Response times. Entry hits serve at t. Granted cores serve
+        # periodically: the first serve answers the request pending at
+        # entry (or, for an entry hit, the one issued right after its
+        # entry serve); each later one waits a period. The serve buffers
+        # only need each core's serves in order, so thread-major is fine.
+        request_tick = self.request_tick
+        d = sched.period
+        cores, firsts, counts = sched.grant_serves()
+        h_w = t - request_tick[h_arr] + 1
+        # an entry hit's next request is issued right after its serve at t
+        grant_w = drain.response_times(
+            firsts,
+            counts,
+            np.where(is_h[cores], t + 1, request_tick[cores]),
+            d,
         )
 
-    # Staged scan: most *failed* attempts (hit-heavy regimes) have tiny
-    # windows, so a capped first pass decides cheaply; the expensive
-    # full-trace scan only runs when a capped plan already committed to
-    # an interval that the cap may have shortened.
-    stage_cap = _SCAN_STAGE_CAP if _SCAN_STAGE_CAP < full_cap else full_cap
-    avail, completes, streams, truncated = scan_windows(stage_cap)
-    sched = plan_with(avail, completes, streams, plan)
-    if sched is None:
-        return None
-    if truncated:
-        replan = arb.drain_plan(q, plan.horizon)
-        if replan is not None:
-            avail, completes, streams, _ = scan_windows(full_cap)
-            full_sched = plan_with(avail, completes, streams, replan)
-            if full_sched is not None:
-                sched = full_sched
-    end = sched.end
-    plan = sched.plan
+        # Serve stamps (tick * stride + within-tick index, the per-tick
+        # paths' total recency order) for the pages still resident at
+        # the end: entry hits served at t, and the fetches that survive
+        # the interval's evictions.
+        stride = self.stamp_stride
+        pos = self.pos
+        offsets = self.offsets
+        big_trace = self.big_trace
+        h_pages = self.current[h_arr]
+        f_threads, f_rounds, f_events = sched.fetched_events(m_fetched_victims)
+        fetched_pages = big_trace[
+            offsets[f_threads] + pos[f_threads] + is_h[f_threads] + f_rounds
+        ]
+        fetched_stamps = (t + 1 + f_events // q) * stride + f_events % q
 
-    # ---- read-only derivations (no state touched yet) ----------------
-    n = len(sched.serve_threads)
-    st = np.asarray(sched.serve_threads, dtype=np.int64)
-    sk = np.asarray(sched.serve_ticks, dtype=np.int64)
-    order, th_s, tk_s, w_s = drain.response_times(st, sk, request_tick)
+        probes = self.probes
+        if probes and not drain.sampled(t, end, self.probe_stride):
+            probes = ()
+        if probes:
+            entry_live = self.current >= 0
+            probe_rt = request_tick.copy()
 
-    # Serve pages: thread-major, each thread consumes consecutive trace
-    # positions from its entry pos; scattered back to chronological.
-    bounds = np.searchsorted(th_s, np.arange(p + 1))
-    occ = np.arange(n, dtype=np.int64) - np.repeat(bounds[:-1], np.diff(bounds))
-    pages_s = big_trace[offsets[th_s] + pos[th_s] + occ]
-    serve_pages = np.empty(n, dtype=np.int64)
-    serve_pages[order] = pages_s
-    w_chrono = np.empty(n, dtype=np.int64)
-    w_chrono[order] = w_s
+        # ---- commit -------------------------------------------------------
+        plan.commit()
+        self.served_threads.append(h_arr)
+        self.served_w.append(h_w)
+        self.served_threads.append(np.repeat(cores, counts))
+        self.served_w.append(grant_w)
 
-    # A serve at tick tau with within-tick index k gets stamp
-    # tau * stride + k — the same total recency order the per-tick
-    # paths write (sk is tick-major, so searchsorted finds each tick
-    # group's first position).
-    within = np.arange(n, dtype=np.int64) - np.searchsorted(sk, sk)
-    serve_stamps = sk * stamp_stride + within
+        # Restamp the entry hits, then pop the exact victim sequence:
+        # entry-resident non-H pages oldest first, then the entry hits in
+        # core order — precisely the stamp order after the restamp. Heap
+        # entries carrying pre-serve stamps refresh lazily.
+        resident = self.resident
+        last_stamp = self.last_stamp
+        heap = self.heap
+        last_stamp[h_pages] = t * stride + np.arange(len(h_pages))
+        popped = 0
+        while popped < n_entry_victims:
+            s, page = heapq.heappop(heap)
+            if not resident[page]:
+                continue
+            true_stamp = int(last_stamp[page])
+            if s != true_stamp:
+                heapq.heappush(heap, (true_stamp, page))
+                continue
+            resident[page] = False
+            resident_count -= 1
+            popped += 1
 
-    total_evict = sched.total_evictions
-    n_entry_victims = (
-        total_evict if total_evict < resident_count else resident_count
-    )
-    m_fetched_victims = total_evict - n_entry_victims
-    if m_fetched_victims > n - n_h:
-        return None  # planner drift; unreachable by construction
-    fetched_pages = serve_pages[n_h:]
-    fetched_stamps = serve_stamps[n_h:]
-
-    grant_ticks = sched.grant_ticks
-    g_idx = len(grant_ticks)
-    while g_idx > 0 and grant_ticks[g_idx - 1] == end - 1:
-        g_idx -= 1
-    inflight_threads = sched.grant_threads[g_idx:]
-
-    serve_ticks_list = sched.serve_ticks
-    s_idx = len(serve_ticks_list)
-    while s_idx > 0 and serve_ticks_list[s_idx - 1] == end - 1:
-        s_idx -= 1
-
-    if probes:
-        entry_live = current >= 0
-        probe_rt = request_tick.copy()
-    fetches0 = fetches
-    evictions0 = evictions
-
-    # ---- commit -------------------------------------------------------
-    plan.commit()
-    if n:
-        served_threads.append(st)
-        served_w.append(w_chrono)
-
-    # Restamp every served page to its final (serve) stamp, then pop
-    # the exact victim sequence: entry-resident non-H pages oldest
-    # first, then the entry hits in core order, then interval-fetched
-    # pages in serve order — precisely the stamp order after the
-    # scatter. Heap entries carrying pre-serve stamps refresh lazily.
-    last_stamp[serve_pages] = serve_stamps
-    popped = 0
-    while popped < n_entry_victims:
-        s, page = heapq.heappop(heap)
-        if not resident[page]:
-            continue
-        true_stamp = int(last_stamp[page])
-        if s != true_stamp:
-            heapq.heappush(heap, (true_stamp, page))
-            continue
-        resident[page] = False
-        resident_count -= 1
-        popped += 1
-    evictions += total_evict
-
-    counts = np.bincount(st, minlength=p)
-    completion_tick: dict[int, int] = {}
-    for i in np.flatnonzero(counts).tolist():
-        served = int(counts[i])
-        last_serve = int(tk_s[bounds[i + 1] - 1])
-        j = int(pos[i]) + served
-        if j >= lengths[i]:
-            ct = last_serve + 1
-            metrics.record_completion(i, ct)
+        # An entry hit with no window grant left completes at t + 1; no
+        # granted core completes inside the interval.
+        current = self.current
+        completion_tick: dict[int, int] = {}
+        for i in h_arr[pos[h_arr] + 1 >= self.lengths[h_arr]].tolist():
+            self.metrics.record_completion(i, t + 1)
             done_count += 1
-            if ct > makespan:
-                makespan = ct
-            completion_tick[i] = last_serve
+            if t + 1 > makespan:
+                makespan = t + 1
+            completion_tick[i] = t
             current[i] = -1
-            pos[i] = j - 1
-        else:
-            pos[i] = j
-            current[i] = big_trace[offsets[i] + j]
-            request_tick[i] = last_serve + 1
+        pos[cores] += counts + is_h[cores]
+        current[cores] = big_trace[offsets[cores] + pos[cores]]
+        request_tick[cores] = firsts + (counts - 1) * d + 1
 
-    # The first m fetched pages are fetch-then-evict inside the
-    # interval: they never become resident here at all. In-flight
-    # grants (tick end-1, served after the jump) carry insert stamps.
-    for page, stamp in zip(
-        fetched_pages[m_fetched_victims:].tolist(),
-        fetched_stamps[m_fetched_victims:].tolist(),
-    ):
-        resident[page] = True
-        resident_count += 1
-        heapq.heappush(heap, (stamp, page))
-    base_end = (end - 1) * stamp_stride
-    for g, i in enumerate(inflight_threads):
-        page = int(current[i])
-        resident[page] = True
-        resident_count += 1
-        stamp = base_end + p + g
-        last_stamp[page] = stamp
-        heapq.heappush(heap, (stamp, page))
-    fetches += len(sched.grant_threads)
-    queue_len = sched.final_queue_len
+        for page, stamp in zip(fetched_pages.tolist(), fetched_stamps.tolist()):
+            resident[page] = True
+            resident_count += 1
+            last_stamp[page] = stamp
+            heapq.heappush(heap, (stamp, page))
+        # In-flight grants (tick end - 1, served after the jump) carry
+        # insert stamps.
+        base_end = (end - 1) * stride + p
+        for g, i in enumerate(sched.inflight().tolist()):
+            page = int(current[i])
+            resident[page] = True
+            resident_count += 1
+            stamp = base_end + g
+            last_stamp[page] = stamp
+            heapq.heappush(heap, (stamp, page))
 
-    tail = [i for i in sched.serve_threads[s_idx:] if current[i] >= 0]
-    tail.extend(int(i) for i in inflight_threads)
-    tail.sort()
-    new_ready = np.asarray(tail, dtype=np.int64)
+        # Cores served on the last tick, plus the last tick's grants: the
+        # round's last two chunks.
+        new_ready = np.sort(sched.round1[-2 * q :])
 
-    if probes:
-        from ..obs.probe import materialize_interval_samples
+        if probes:
+            from ..obs.probe import materialize_interval_samples
 
-        materialize_interval_samples(
-            probes,
-            start=t,
-            end=end,
-            stride=probe_stride,
-            channels=q,
-            fetches0=fetches0,
-            evictions0=evictions0,
-            grants_per_tick=sched.grants_per_tick,
-            evicts_per_tick=sched.evicts_per_tick,
-            queue_per_tick=sched.queue_per_tick,
-            resident_per_tick=sched.resident_per_tick,
-            serve_threads=sched.serve_threads,
-            serve_ticks=sched.serve_ticks,
-            grant_threads=sched.grant_threads,
-            grant_ticks=sched.grant_ticks,
-            request_tick=probe_rt,
-            live=entry_live,
-            completion_tick=completion_tick,
+            materialize_interval_samples(
+                probes,
+                start=t,
+                end=end,
+                stride=self.probe_stride,
+                channels=q,
+                fetches0=fetches,
+                evictions0=evictions,
+                request_tick=probe_rt,
+                live=entry_live,
+                completion_tick=completion_tick,
+                **sched.probe_histories(),
+            )
+
+        return (
+            end,
+            new_ready,
+            sched.final_queue_len,
+            fetches + sched.grants,
+            evictions + total_evict,
+            done_count,
+            makespan,
+            resident_count,
         )
 
-    ffstate.commits_miss += 1
-    return (
-        end,
-        new_ready,
-        queue_len,
-        fetches,
-        evictions,
-        done_count,
-        makespan,
+    def _hit(
+        self, t, h_arr, fetches, evictions, done_count, makespan,
         resident_count,
-    )
+    ):
+        """Bulk-retire a guaranteed-*hit* stretch starting at tick ``t``.
 
+        Preconditions established by :meth:`attempt`: the request queue
+        is empty and every live core's current reference is resident.
+        Under those conditions no fetch can happen until some core
+        reaches a non-resident reference, and with no fetches there are
+        no evictions — so residency is frozen and each core simply
+        serves one trace reference per tick while its *hit run* (maximal
+        prefix of resident references) lasts. The interval ends one tick
+        before the first non-completing core would classify a
+        non-resident reference, which keeps that classification in the
+        live loop.
 
-def _attempt_hit_fast_forward(
-    arb,
-    t,
-    p,
-    q,
-    big_trace,
-    offsets,
-    lengths,
-    pos,
-    current,
-    request_tick,
-    h_arr,
-    resident,
-    resident_count,
-    last_stamp,
-    stamp_stride,
-    fetches,
-    evictions,
-    done_count,
-    makespan,
-    metrics,
-    served_threads,
-    served_w,
-    probes,
-    probe_stride,
-    ff_horizon,
-    ffstate,
-):
-    """Bulk-retire a guaranteed-*hit* stretch starting at tick ``t``.
+        The bulk apply is pure timestamp work: serves scatter their
+        final stamps into ``last_stamp`` (hits never push heap entries
+        on the per-tick paths either — stale heap stamps refresh
+        lazily), response times are 1 for every serve after a core's
+        first, and the policy replays its elided ``begin_tick`` effects
+        through
+        :meth:`~repro.core.arbitration.ArbitrationPolicy.skip_idle_ticks`
+        (refusal permanently disables this prover for the run via
+        ``state.hit_ok``). Returns the same scalar tuple as
+        :meth:`attempt` or ``None``.
+        """
+        live = h_arr  # queue empty: the live set IS the ready set
+        full_cap = drain.WINDOW_CAP
+        if self.horizon < drain.UNBOUNDED:
+            span = self.horizon - t
+            if span < full_cap:
+                full_cap = span
+        if full_cap < drain.MIN_FF_TICKS:
+            return None
+        big_trace = self.big_trace
+        offsets = self.offsets
+        lengths = self.lengths
+        pos = self.pos
+        resident = self.resident
 
-    Preconditions established by the caller: the request queue is empty
-    and every live core's current reference is resident. Under those
-    conditions no fetch can happen until some core reaches a
-    non-resident reference, and with no fetches there are no evictions
-    — so residency is frozen and each core simply serves one trace
-    reference per tick while its *hit run* (maximal prefix of resident
-    references) lasts. The interval ends one tick before the first
-    non-completing core would classify a non-resident reference, which
-    keeps that classification in the live loop.
+        def scan_runs(scan_cap):
+            """Per-core hit-run lengths (capped) + completion flags."""
+            runs: dict[int, int] = {}
+            comp: dict[int, bool] = {}
+            for i in live.tolist():
+                start_pos = int(pos[i])
+                length = int(lengths[i])
+                off = int(offsets[i])
+                j_max = start_pos + scan_cap
+                if j_max > length:
+                    j_max = length
+                arr = big_trace[off + start_pos : off + j_max]
+                res = resident[arr]
+                m = len(arr) if res.all() else int(res.argmin())
+                runs[i] = m
+                comp[i] = start_pos + m >= length
+            return runs, comp
 
-    The bulk apply is pure timestamp work: serves scatter their final
-    stamps into ``last_stamp`` (hits never push heap entries on the
-    per-tick paths either — stale heap stamps refresh lazily), response
-    times are 1 for every serve after a core's first, and the policy
-    replays its elided ``begin_tick`` effects through
-    :meth:`~repro.core.arbitration.ArbitrationPolicy.skip_idle_ticks`
-    (refusal permanently disables this prover for the run via
-    ``ffstate.hit_ok``). Returns the same scalar tuple as
-    :func:`_attempt_fast_forward` or ``None``.
-    """
-    live = h_arr  # queue empty: the live set IS the ready set
-    full_cap = drain.WINDOW_CAP
-    if ff_horizon < drain.UNBOUNDED:
-        span = ff_horizon - t
-        if span < full_cap:
-            full_cap = span
-    if full_cap < drain.MIN_FF_TICKS:
-        return None
-
-    def scan_runs(scan_cap):
-        """Per-core hit-run lengths (capped) + completion flags."""
-        runs: dict[int, int] = {}
-        comp: dict[int, bool] = {}
-        for i in live.tolist():
-            start_pos = int(pos[i])
-            length = int(lengths[i])
-            off = int(offsets[i])
-            j_max = start_pos + scan_cap
-            if j_max > length:
-                j_max = length
-            arr = big_trace[off + start_pos : off + j_max]
-            res = resident[arr]
-            m = len(arr) if res.all() else int(res.argmin())
-            runs[i] = m
-            comp[i] = start_pos + m >= length
-        return runs, comp
-
-    # Staged like the miss scan: a cheap capped pass decides most
-    # failures; rescan at the full cap only when every non-completing
-    # core's run was cut by the stage cap.
-    stage_cap = _SCAN_STAGE_CAP if _SCAN_STAGE_CAP < full_cap else full_cap
-    runs, comp = scan_runs(stage_cap)
-    noncomp = [runs[i] for i in runs if not comp[i]]
-    k = min(noncomp) if noncomp else max(runs.values())
-    if noncomp and k == stage_cap < full_cap:
-        runs, comp = scan_runs(full_cap)
+        # Staged like the miss scan: a cheap capped pass decides most
+        # failures; rescan at the full cap only when every non-completing
+        # core's run was cut by the stage cap.
+        stage_cap = _SCAN_STAGE_CAP if _SCAN_STAGE_CAP < full_cap else full_cap
+        runs, comp = scan_runs(stage_cap)
         noncomp = [runs[i] for i in runs if not comp[i]]
         k = min(noncomp) if noncomp else max(runs.values())
-    if k < drain.MIN_FF_TICKS:
-        return None
-    end = t + k
+        if noncomp and k == stage_cap < full_cap:
+            runs, comp = scan_runs(full_cap)
+            noncomp = [runs[i] for i in runs if not comp[i]]
+            k = min(noncomp) if noncomp else max(runs.values())
+        if k < drain.MIN_FF_TICKS:
+            return None
+        end = t + k
 
-    # ---- read-only derivations (no state touched yet) ----------------
-    s = np.minimum(k, lengths[live] - pos[live])
-    n = int(s.sum())
-    starts = np.zeros(len(live) + 1, dtype=np.int64)
-    np.cumsum(s, out=starts[1:])
-    th_tm = np.repeat(live, s)  # thread-major serve events
-    occ = np.arange(n, dtype=np.int64) - np.repeat(starts[:-1], s)
-    ticks_tm = t + occ
-    pages_tm = big_trace[offsets[th_tm] + pos[th_tm] + occ]
-    w_tm = np.ones(n, dtype=np.int64)
-    w_tm[starts[:-1]] = t - request_tick[live] + 1
+        # ---- read-only derivations (no state touched yet) ----------------
+        request_tick = self.request_tick
+        s = np.minimum(k, lengths[live] - pos[live])
+        n = int(s.sum())
+        starts = np.zeros(len(live) + 1, dtype=np.int64)
+        np.cumsum(s, out=starts[1:])
+        th_tm = np.repeat(live, s)  # thread-major serve events
+        occ = np.arange(n, dtype=np.int64) - np.repeat(starts[:-1], s)
+        ticks_tm = t + occ
+        pages_tm = big_trace[offsets[th_tm] + pos[th_tm] + occ]
+        w_tm = np.ones(n, dtype=np.int64)
+        w_tm[starts[:-1]] = t - request_tick[live] + 1
 
-    # Chronological (tick-major, core-id ascending within a tick —
-    # live is sorted and the sort is stable, so within-tick order is
-    # exactly the per-tick serve order).
-    order = np.argsort(ticks_tm, kind="stable")
-    th_c = th_tm[order]
-    tk_c = ticks_tm[order]
-    pages_c = pages_tm[order]
-    w_c = w_tm[order]
-    within = np.arange(n, dtype=np.int64) - np.searchsorted(tk_c, tk_c)
-    stamps_c = tk_c * stamp_stride + within
+        # Chronological (tick-major, core-id ascending within a tick —
+        # live is sorted and the sort is stable, so within-tick order is
+        # exactly the per-tick serve order).
+        order = np.argsort(ticks_tm, kind="stable")
+        th_c = th_tm[order]
+        tk_c = ticks_tm[order]
+        pages_c = pages_tm[order]
+        w_c = w_tm[order]
+        within = np.arange(n, dtype=np.int64) - np.searchsorted(tk_c, tk_c)
+        stamps_c = tk_c * self.stamp_stride + within
 
-    if probes:
-        entry_live = current >= 0
-        probe_rt = request_tick.copy()
-    fetches0 = fetches
-    evictions0 = evictions
+        current = self.current
+        probes = self.probes
+        if probes and not drain.sampled(t, end, self.probe_stride):
+            probes = ()
+        if probes:
+            entry_live = current >= 0
+            probe_rt = request_tick.copy()
 
-    # ---- commit -------------------------------------------------------
-    # The policy goes first: it either replays every elided begin_tick
-    # (remaps) or refuses, in which case nothing has been mutated yet
-    # and the per-tick loop takes over for good.
-    if not arb.skip_idle_ticks(t, end):
-        ffstate.hit_ok = False
-        return None
+        # ---- commit -------------------------------------------------------
+        # The policy goes first: it either replays every elided begin_tick
+        # (remaps) or refuses, in which case nothing has been mutated yet
+        # and the per-tick loop takes over for good.
+        if not self.arb.skip_idle_ticks(t, end):
+            self.state.hit_ok = False
+            return None
 
-    # Duplicate pages keep their *last* serve's stamp (numpy fancy
-    # assignment applies in index order), matching per-tick re-touches.
-    last_stamp[pages_c] = stamps_c
-    served_threads.append(th_c)
-    served_w.append(w_c)
+        # Duplicate pages keep their *last* serve's stamp (numpy fancy
+        # assignment applies in index order), matching per-tick re-touches.
+        self.last_stamp[pages_c] = stamps_c
+        self.served_threads.append(th_c)
+        self.served_w.append(w_c)
 
-    completion_tick: dict[int, int] = {}
-    cont_mask = np.empty(len(live), dtype=bool)
-    for idx, i in enumerate(live.tolist()):
-        si = int(s[idx])
-        j = int(pos[i]) + si
-        if j >= lengths[i]:
-            ct = t + si
-            metrics.record_completion(i, ct)
-            done_count += 1
-            if ct > makespan:
-                makespan = ct
-            completion_tick[i] = t + si - 1
-            current[i] = -1
-            pos[i] = j - 1
-            cont_mask[idx] = False
-        else:
-            cont_mask[idx] = True
-    cont = live[cont_mask]
-    if len(cont):
-        pos[cont] += k
-        current[cont] = big_trace[offsets[cont] + pos[cont]]
-        request_tick[cont] = end
-    new_ready = cont
+        metrics = self.metrics
+        completion_tick: dict[int, int] = {}
+        cont_mask = np.empty(len(live), dtype=bool)
+        for idx, i in enumerate(live.tolist()):
+            si = int(s[idx])
+            j = int(pos[i]) + si
+            if j >= lengths[i]:
+                ct = t + si
+                metrics.record_completion(i, ct)
+                done_count += 1
+                if ct > makespan:
+                    makespan = ct
+                completion_tick[i] = t + si - 1
+                current[i] = -1
+                pos[i] = j - 1
+                cont_mask[idx] = False
+            else:
+                cont_mask[idx] = True
+        cont = live[cont_mask]
+        if len(cont):
+            pos[cont] += k
+            current[cont] = big_trace[offsets[cont] + pos[cont]]
+            request_tick[cont] = end
 
-    if probes:
-        from ..obs.probe import materialize_interval_samples
+        if probes:
+            from ..obs.probe import materialize_interval_samples
 
-        materialize_interval_samples(
-            probes,
-            start=t,
-            end=end,
-            stride=probe_stride,
-            channels=q,
-            fetches0=fetches0,
-            evictions0=evictions0,
-            grants_per_tick=[0] * k,
-            evicts_per_tick=[0] * k,
-            queue_per_tick=[0] * k,
-            resident_per_tick=[resident_count] * k,
-            serve_threads=th_c.tolist(),
-            serve_ticks=tk_c.tolist(),
-            grant_threads=[],
-            grant_ticks=[],
-            request_tick=probe_rt,
-            live=entry_live,
-            completion_tick=completion_tick,
+            materialize_interval_samples(
+                probes,
+                start=t,
+                end=end,
+                stride=self.probe_stride,
+                channels=self.q,
+                fetches0=fetches,
+                evictions0=evictions,
+                grants_per_tick=[0] * k,
+                evicts_per_tick=[0] * k,
+                queue_per_tick=[0] * k,
+                resident_per_tick=[resident_count] * k,
+                serve_threads=th_c.tolist(),
+                serve_ticks=tk_c.tolist(),
+                grant_threads=[],
+                grant_ticks=[],
+                request_tick=probe_rt,
+                live=entry_live,
+                completion_tick=completion_tick,
+            )
+
+        return (
+            end,
+            cont,
+            0,
+            fetches,
+            evictions,
+            done_count,
+            makespan,
+            resident_count,
         )
-
-    return (
-        end,
-        new_ready,
-        0,
-        fetches,
-        evictions,
-        done_count,
-        makespan,
-        resident_count,
-    )
 
 
 class FastSimulator:
@@ -971,14 +941,34 @@ class FastSimulator:
         # cooperating with at least one prover (drain plans for
         # miss-bound stretches, idle-tick skipping for hit-bound ones).
         # Results are bit-identical either way.
-        ff_state = drain.FFState()
         ff_eligible = drain.fast_forward_enabled()
         ff_next_try = 0
         ff_backoff = drain.BACKOFF_MIN
-        ff_horizon = (max_ticks + 1) if max_ticks is not None else drain.UNBOUNDED
         ff_intervals = 0
         ff_elided = 0
         ff_wall = 0.0
+        ff = _FastForward(
+            arb=arb,
+            p=p,
+            q=q,
+            capacity=capacity,
+            big_trace=big_trace,
+            offsets=offsets,
+            lengths=lengths,
+            pos=pos,
+            current=current,
+            request_tick=request_tick,
+            resident=resident,
+            last_stamp=last_stamp,
+            heap=heap,
+            stamp_stride=stamp_stride,
+            metrics=metrics,
+            served_threads=served_threads,
+            served_w=served_w,
+            probes=probes,
+            probe_stride=probe_stride,
+            horizon=(max_ticks + 1) if max_ticks is not None else drain.UNBOUNDED,
+        )
 
         vt = vector_threshold()
         t = 0
@@ -988,17 +978,12 @@ class FastSimulator:
 
             if ff_eligible and t >= ff_next_try:
                 _ff_t0 = time.perf_counter()
-                ff = _attempt_fast_forward(
-                    ff_state, arb, t, p, q, capacity, big_trace,
-                    offsets, lengths, pos, current, request_tick,
-                    ready, resident, resident_count, last_stamp,
-                    heap, stamp_stride, queue_len, fetches,
-                    evictions, done_count, makespan, metrics,
-                    served_threads, served_w, probes, probe_stride,
-                    ff_horizon,
+                jump = ff.attempt(
+                    t, ready, queue_len, fetches, evictions, done_count,
+                    makespan, resident_count,
                 )
-                if ff is None:
-                    if not ff_state.eligible:
+                if jump is None:
+                    if not ff.state.eligible:
                         ff_eligible = False
                     else:
                         ff_next_try = t + ff_backoff
@@ -1006,9 +991,9 @@ class FastSimulator:
                 else:
                     ff_backoff = drain.BACKOFF_MIN
                     ff_intervals += 1
-                    ff_elided += ff[0] - t
+                    ff_elided += jump[0] - t
                     (t, ready, queue_len, fetches, evictions,
-                     done_count, makespan, resident_count) = ff
+                     done_count, makespan, resident_count) = jump
                     ff_wall += time.perf_counter() - _ff_t0
                     if max_ticks is not None and t > max_ticks:
                         raise SimulationLimitError(
@@ -1195,7 +1180,7 @@ class FastSimulator:
         remap_count = getattr(arb, "remap_count", 0)
         if ff_wall:
             _record_ff_phase(ff_wall)
-        drain.record_ff_engagement(cfg.arbitration, ff_state)
+        drain.record_ff_engagement(cfg.arbitration, ff.state)
         result = metrics.finalize(
             makespan=makespan,
             ticks=t,

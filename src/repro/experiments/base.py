@@ -50,7 +50,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from ..analysis.sweep import CampaignStats, SweepJob, SweepRecord, SweepRunner
+from ..analysis.sweep import (
+    CampaignStats,
+    SweepJob,
+    SweepRecord,
+    SweepRunner,
+    WorkloadTable,
+)
 from ..core.engine import ENGINE_SEMANTICS_VERSION
 from ..core.fastengine import default_engine
 from ..analysis.telemetry import default_telemetry
@@ -134,9 +140,11 @@ class CampaignContext:
 
     Builders derive the job grid from ``scale`` and ``seed``; reducers
     occasionally need the workload itself (e.g. to compute certified
-    lower bounds from the traces) and use :meth:`build_workload`, which
-    routes through the on-disk workload cache when one is configured so
-    the traces are generated at most once per campaign.
+    lower bounds from the traces) and use :meth:`build_workload`. Under
+    :meth:`Campaign.run` it serves the campaign's shared
+    :class:`~repro.analysis.sweep.WorkloadTable`, the same workload
+    objects the in-process jobs simulated; otherwise it routes through
+    the on-disk workload cache when one is configured.
     """
 
     experiment_id: str
@@ -144,9 +152,13 @@ class CampaignContext:
     seed: int = 0
     processes: int | None = None
     cache_dir: str | None = None
+    #: the campaign's shared workload table (set by :meth:`Campaign.run`)
+    workloads: WorkloadTable | None = field(default=None, repr=False, compare=False)
 
     def build_workload(self, spec: Any) -> Workload:
         """Materialize a :class:`~repro.analysis.WorkloadSpec`."""
+        if self.workloads is not None:
+            return self.workloads.get(spec)
         cache = WorkloadCache(self.cache_dir) if self.cache_dir else None
         return spec.build(cache)
 
@@ -263,12 +275,25 @@ class Campaign:
         cache_dir=None,
         seed: int = 0,
     ) -> ExperimentOutput:
+        # One load per distinct workload spec for the whole campaign:
+        # in-process jobs and reducer rebuilds share this table, and it
+        # is released when the campaign ends.
+        workloads = WorkloadTable(
+            WorkloadCache(cache_dir) if cache_dir is not None else None
+        )
+        try:
+            return self._run(scale, processes, cache_dir, seed, workloads)
+        finally:
+            workloads.clear()
+
+    def _run(self, scale, processes, cache_dir, seed, workloads) -> ExperimentOutput:
         ctx = CampaignContext(
             experiment_id=self.experiment_id,
             scale=require_scale(scale),
             seed=seed,
             processes=processes,
             cache_dir=str(cache_dir) if cache_dir is not None else None,
+            workloads=workloads,
         )
         drain_only = False
         if self.build_jobs is not None:
@@ -276,7 +301,9 @@ class Campaign:
                 raise TypeError(
                     f"campaign {self.experiment_id!r} has jobs but no reducer"
                 )
-            runner = SweepRunner(processes=processes, cache_dir=cache_dir)
+            runner = SweepRunner(
+                processes=processes, cache_dir=cache_dir, workloads=workloads
+            )
             # Keep the campaign registry active across the reduce step
             # so its wall time lands in the phase profile too; the
             # runner installs/restores the same registry internally.

@@ -2,8 +2,9 @@
 
 Two formats:
 
-* **NPZ** — compact binary for cached workloads (one array per thread
-  plus a JSON metadata blob);
+* **NPZ** — compact binary for cached workloads: every thread's pages
+  in one concatenated array, the per-thread offsets into it, and a JSON
+  metadata blob (format :data:`NPZ_FORMAT`);
 * **text** — one page id per line with ``# thread`` separators, for
   interop with external simulators (the paper's C++ simulator ingests
   address traces of this shape).
@@ -29,6 +30,7 @@ from .base import Trace, Workload, make_workload
 log = get_logger("traces.io")
 
 __all__ = [
+    "NPZ_FORMAT",
     "save_workload_npz",
     "load_workload_npz",
     "save_workload_text",
@@ -38,42 +40,63 @@ __all__ = [
 ]
 
 
+#: layout version of :func:`save_workload_npz` files. Version 2 stores
+#: one concatenated page array plus offsets: reading one zip member per
+#: thread dominated load time for wide workloads. :class:`WorkloadCache`
+#: keys on it, so entries of an older layout are regenerated, never read.
+NPZ_FORMAT = 2
+
+
 def save_workload_npz(workload: Workload, path: str | os.PathLike) -> None:
     """Write a workload (source traces + metadata) to an ``.npz`` file."""
-    arrays = {
-        f"trace_{i}": t.pages for i, t in enumerate(workload.source_traces)
-    }
+    sources = workload.source_traces
+    offsets = np.zeros(len(sources) + 1, dtype=np.int64)
+    np.cumsum([len(t) for t in sources], out=offsets[1:])
     meta = {
+        "format": NPZ_FORMAT,
         "name": workload.name,
         "threads": workload.num_threads,
         # Without this flag a reloaded non-disjoint workload (namespace
         # False, e.g. the shared-pages family) would be renumbered back
         # into disjoint blocks, silently destroying the sharing.
         "namespace": workload.namespaced,
-        "sources": [t.source for t in workload.source_traces],
-        "params": [dict(t.params) for t in workload.source_traces],
+        "sources": [t.source for t in sources],
+        "params": [dict(t.params) for t in sources],
     }
-    arrays["meta_json"] = np.frombuffer(
-        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+    np.savez_compressed(
+        path,
+        pages=np.concatenate([t.pages for t in sources]),
+        offsets=offsets,
+        meta_json=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
     )
-    np.savez_compressed(path, **arrays)
 
 
 def load_workload_npz(path: str | os.PathLike) -> Workload:
-    """Read a workload written by :func:`save_workload_npz`."""
+    """Read a workload written by :func:`save_workload_npz`.
+
+    Raises ``ValueError`` for a file of another layout (e.g. the
+    one-member-per-thread layout before :data:`NPZ_FORMAT` 2): re-save
+    the workload, or let :class:`WorkloadCache` regenerate it.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
-        traces = [
-            Trace(
-                data[f"trace_{i}"],
-                source=meta["sources"][i],
-                params=meta["params"][i],
+        if meta.get("format") != NPZ_FORMAT:
+            raise ValueError(
+                f"{path}: workload file format {meta.get('format', 1)!r}, "
+                f"expected {NPZ_FORMAT}; regenerate it (WorkloadCache keys "
+                "on the format, so a cache rebuilds such entries itself)"
             )
-            for i in range(meta["threads"])
-        ]
-    return Workload(
-        traces, name=meta["name"], namespace=meta.get("namespace", True)
-    )
+        pages = data["pages"]
+        offsets = data["offsets"].tolist()
+    traces = [
+        Trace(
+            pages[offsets[i] : offsets[i + 1]],
+            source=meta["sources"][i],
+            params=meta["params"][i],
+        )
+        for i in range(meta["threads"])
+    ]
+    return Workload(traces, name=meta["name"], namespace=meta["namespace"])
 
 
 def save_workload_text(workload: Workload, path: str | os.PathLike) -> None:
@@ -153,7 +176,13 @@ class WorkloadCache:
 
     def _key(self, kind: str, threads: int, seed: int, params: dict[str, Any]) -> str:
         blob = json.dumps(
-            {"kind": kind, "threads": threads, "seed": seed, "params": params},
+            {
+                "kind": kind,
+                "threads": threads,
+                "seed": seed,
+                "params": params,
+                "format": NPZ_FORMAT,
+            },
             sort_keys=True,
             default=str,
         )

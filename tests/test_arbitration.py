@@ -11,6 +11,7 @@ from repro.core.arbitration import (
     BlacklistingArbitration,
     CyclePriorityArbitration,
     CycleReversePriorityArbitration,
+    DrainPlan,
     DynamicPriorityArbitration,
     DynamicPriorityQueueArbitration,
     FIFOArbitration,
@@ -475,13 +476,14 @@ def test_arbitration_conserves_requests(name, p, data):
     assert sorted(out) == sorted(enqueued)
 
 
-# -- tie-breaking determinism (the drain-plan oracle) ---------------------
+# -- tie-breaking determinism ---------------------------------------------
 #
-# The quiescent-interval fast-forward (repro.core.drain) replays grant
-# decisions outside the tick loop via ArbitrationPolicy.drain_plan, so
-# every policy's select() order under ties, short queues, and oversized
-# limits is pinned semantics: changing any of these is an
-# ENGINE_SEMANTICS_VERSION bump, not a refactor detail.
+# Both engines must grant identically, and the FIFO fast-forward
+# (repro.core.drain) derives grant order in closed form from
+# ArbitrationPolicy.drain_plan, so every policy's select() order under
+# ties, short queues, and oversized limits is pinned semantics: changing
+# any of these is an ENGINE_SEMANTICS_VERSION bump, not a refactor
+# detail.
 
 PRIORITY_NAMES = [
     "priority",
@@ -616,122 +618,75 @@ class TestTieBreaking:
         assert policy.select(2) == [2, 1]
 
 
+NON_FIFO_NAMES = [name for name in ELEVEN_NAMES if name != "fifo"]
+
+
 class TestDrainPlan:
-    """drain_plan() must predict select() exactly — plan vs live oracle."""
+    """drain_plan() is a FIFO-stream contract: only FIFO returns a plan,
+    and its snapshot is exactly the order select() grants in."""
 
     def test_random_opts_out(self):
         # select() draws from the RNG per grant: inherently unplannable
         policy = make_any("random")
         assert policy.drain_plan(2, 1000) is None
 
-    @pytest.mark.parametrize(
-        "name", ["round_robin", "fr_fcfs", "blacklist", "dpq"]
-    )
-    def test_stateful_policies_opt_in(self, name):
-        # deterministic state recurrences: both plan from copied state
-        # (the pop-vs-select oracles live in tests/test_drain.py)
+    @pytest.mark.parametrize("name", NON_FIFO_NAMES)
+    def test_non_fifo_policies_decline(self, name):
+        # none of these grants in stored order, so the closed-form drain
+        # does not apply; the engines step their miss-bound ticks
         policy = make_any(name)
-        plan = policy.drain_plan(2, 1000)
-        assert plan is not None
-        assert plan.horizon == 1000
+        policy.begin_tick(1)
+        for thread in (4, 1, 6):
+            enqueue_any(policy, thread)
+        assert policy.drain_plan(2, 1000) is None
 
-    @pytest.mark.parametrize("name", ["fifo"] + PRIORITY_NAMES)
+    @pytest.mark.parametrize("name", ["fifo"])
     def test_plan_pops_match_live_selects(self, name):
-        live = make(name, p=8, T=1000, seed=5)
-        live.begin_tick(1)
+        # the snapshot is the grant stream: select() pops its front
+        live = make(name)
+        script = [(2, [0, 3]), (2, [5]), (1, []), (3, [2, 7]), (8, [])]
         for thread in (4, 1, 6):
             live.enqueue(thread)
-        plan = make(name, p=8, T=1000, seed=5)
-        plan.begin_tick(1)
-        for thread in (4, 1, 6):
-            plan.enqueue(thread)
-        plan = plan.drain_plan(2, 1000)
-        assert plan is not None
-        # interleave pops with arrival batches, exactly as plan_drain does
-        script = [(2, [0, 3]), (2, [5]), (1, []), (3, []), (8, [])]
         for limit, arrivals in script:
-            got = plan.pop(limit)
-            want = live.select(limit)
-            assert got == want
-            plan.push(arrivals)
+            stream = live.drain_plan(2, 1000).snapshot()
+            assert live.select(limit) == stream[:limit]
             for thread in arrivals:
                 live.enqueue(thread)
-        assert len(plan) == len(live)
+        assert live.drain_plan(2, 1000).snapshot() == []
 
     @pytest.mark.parametrize("name", ["fifo"] + PRIORITY_NAMES)
     def test_plan_is_a_copy_until_commit(self, name):
-        policy = make(name, p=8, T=1000, seed=5)
-        policy.begin_tick(1)
-        for thread in (4, 1, 6):
-            policy.enqueue(thread)
+        # only a commit touches the live policy: an uncommitted FIFO
+        # plan, or a priority policy's refusal, leaves its queue, ranks
+        # and RNG stream exactly as a twin that was never asked
+        policy, twin = make(name, seed=5), make(name, seed=5)
+        for live in (policy, twin):
+            live.begin_tick(1)
+            for thread in (4, 1, 6):
+                live.enqueue(thread)
         plan = policy.drain_plan(2, 1000)
-        plan.pop(2)
-        plan.push([7])
-        assert sorted(policy.select(8)) == [1, 4, 6]  # live untouched
+        assert (plan is None) == (name != "fifo")
+        if plan is not None:
+            plan.replace([7])
+        assert policy.select(8) == twin.select(8)
+        assert len(policy) == 0
+        policy.begin_tick(16)  # remap: both draw the same permutation
+        twin.begin_tick(16)
+        for live in (policy, twin):
+            for thread in range(8):
+                live.enqueue(thread)
+        assert policy.select(8) == twin.select(8)
 
-    @pytest.mark.parametrize("name", ["fifo"] + PRIORITY_NAMES)
+    @pytest.mark.parametrize("name", ["fifo"])
     def test_commit_installs_plan_state(self, name):
-        policy = make(name, p=8, T=1000, seed=5)
-        policy.begin_tick(1)
+        policy = make(name)
         for thread in (4, 1, 6):
             policy.enqueue(thread)
-        oracle = make(name, p=8, T=1000, seed=5)
-        oracle.begin_tick(1)
-        for thread in (4, 1, 6):
-            oracle.enqueue(thread)
         plan = policy.drain_plan(2, 1000)
-        dropped = plan.pop(2)
-        plan.push([0, 7])
+        plan.replace([6, 0, 7])
         plan.commit()
-        oracle.select(2)
-        oracle.enqueue(0)
-        oracle.enqueue(7)
-        assert len(dropped) == 2
-        assert policy.select(8) == oracle.select(8)
-
-    @pytest.mark.parametrize("name", PRIORITY_NAMES)
-    def test_priority_horizon_crosses_remap_boundaries(self, name):
-        # horizons are no longer capped at the next boundary: the plan
-        # replays the pure rank permutation itself (via tick_hook)
-        policy = make(name, p=8, T=10, seed=2)
-        policy.begin_tick(13)
-        plan = policy.drain_plan(2, 10_000)
-        assert plan.horizon == 10_000
-        assert plan.tick_hook is not None
-        plan = policy.drain_plan(2, 15)
-        assert plan.horizon == 15
-
-    @pytest.mark.parametrize("name", PRIORITY_NAMES)
-    def test_cross_remap_plan_matches_live_policy(self, name):
-        # drive the plan through several boundaries exactly as
-        # plan_drain does (hook, then pop) against a live twin that
-        # runs begin_tick per tick; grant order must never diverge
-        live = make(name, p=8, T=10, seed=2)
-        planned = make(name, p=8, T=10, seed=2)
-        for policy in (live, planned):
-            policy.begin_tick(13)
-            for thread in (4, 1, 6, 3, 0, 7):
-                policy.enqueue(thread)
-        plan = planned.drain_plan(2, 1000)
-        got, want = [], []
-        for tau in range(14, 44):
-            plan.tick_hook(tau)
-            live.begin_tick(tau)
-            got.extend(plan.pop(1))
-            want.extend(live.select(1))
-            if got and tau % 3 == 0:  # keep the queue busy across remaps
-                plan.push([got[-1]])
-                live.enqueue(want[-1])
-        assert got == want
-        # commit installs the final ranks and advances remap_count and
-        # the RNG stream in bulk: future remaps stay in lockstep
-        plan.commit()
-        assert planned.remap_count == live.remap_count
-        for policy in (live, planned):
-            policy.begin_tick(50)
-            for thread in (2, 5, 1):
-                policy.enqueue(thread)
-        assert planned.select(8) == live.select(8)
+        policy.enqueue(2)
+        assert policy.select(8) == [6, 0, 7, 2]
 
     def test_fifo_horizon_is_unbounded_by_remap(self):
         policy = make("fifo")
@@ -739,12 +694,10 @@ class TestDrainPlan:
         assert plan.horizon == 12345
 
     def test_bulk_capability_flags(self):
-        fifo_plan = make("fifo").drain_plan(2, 100)
-        assert fifo_plan.supports_bulk
-        for name in PRIORITY_NAMES:
-            policy = make(name, T=1000)
-            policy.begin_tick(1)
-            assert not policy.drain_plan(2, 100).supports_bulk
+        # the stream interface is FIFO's alone
+        assert isinstance(make("fifo").drain_plan(2, 100), DrainPlan)
+        for name in NON_FIFO_NAMES:
+            assert make_any(name).drain_plan(2, 100) is None
 
     def test_fifo_snapshot_replace_roundtrip(self):
         policy = make("fifo")
@@ -754,43 +707,33 @@ class TestDrainPlan:
         assert plan.snapshot() == [4, 1, 6, 2]
         plan.replace([6, 2, 9])
         assert plan.snapshot() == [6, 2, 9]
-        assert plan.pop(2) == [6, 2]
         plan.commit()
-        assert policy.select(8) == [9]
+        assert policy.select(8) == [6, 2, 9]
 
     @pytest.mark.parametrize("name", PRIORITY_NAMES)
     def test_priority_plans_decline_bulk_interface(self, name):
         policy = make(name, T=1000)
         policy.begin_tick(1)
         policy.enqueue(3)
-        plan = policy.drain_plan(2, 100)
-        assert plan.snapshot() is None
-        with pytest.raises(NotImplementedError):
-            plan.replace([3])
+        assert policy.drain_plan(2, 100) is None
+        assert policy.select(2) == [3]  # asking changed nothing
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.sampled_from(["fifo"] + PRIORITY_NAMES),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.data(),
-    )
-    def test_plan_oracle_property(self, name, seed, data):
-        """Random interleavings of pops and pushes never diverge."""
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    def test_plan_oracle_property(self, seed, data):
+        """Random interleavings of enqueues and selects: every snapshot
+        is exactly the live policy's remaining grant order."""
         rng = np.random.default_rng(seed)
-        live = make(name, p=6, T=1000, seed=7)
-        live.begin_tick(1)
-        planned = make(name, p=6, T=1000, seed=7)
-        planned.begin_tick(1)
+        live = make("fifo", p=6)
         start = list(rng.permutation(6)[: int(rng.integers(0, 7))])
         for thread in start:
             live.enqueue(int(thread))
-            planned.enqueue(int(thread))
-        plan = planned.drain_plan(2, 1000)
         outside = sorted(set(range(6)) - set(start))
         for step in range(10):
             limit = data.draw(st.integers(0, 3), label=f"limit@{step}")
-            got = plan.pop(limit)
-            assert got == live.select(limit)
+            stream = live.drain_plan(2, 1000).snapshot()
+            got = live.select(limit)
+            assert got == stream[:limit]
             outside.extend(got)
             outside.sort()
             k = data.draw(
@@ -798,7 +741,6 @@ class TestDrainPlan:
             )
             batch = outside[:k]
             del outside[:k]
-            plan.push(batch)
             for thread in batch:
                 live.enqueue(thread)
-        assert len(plan) == len(live)
+        assert live.drain_plan(2, 1000).snapshot() == live.select(6)

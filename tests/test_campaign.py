@@ -15,7 +15,7 @@ from repro.analysis import (
     run_sweep,
     sweep_result_key,
 )
-from repro.core import SimulationConfig
+from repro.core import SimulationConfig, simulate
 from repro.experiments.base import (
     CAMPAIGN_MANIFEST_SCHEMA,
     Campaign,
@@ -24,6 +24,7 @@ from repro.experiments.base import (
     merge_campaign_stats,
     save_experiment_output,
 )
+from repro.traces import WorkloadCache
 
 SPEC = WorkloadSpec.make("adversarial_cycle", threads=4, seed=0, pages=16, repeats=3)
 CONFIG = SimulationConfig(hbm_slots=32)
@@ -174,6 +175,99 @@ class TestCampaign:
         wl = ctx.build_workload(SPEC)
         assert wl.num_threads == 4
         assert list(tmp_path.glob("*.npz"))  # generated via the disk cache
+
+    def test_one_workload_load_per_spec_per_campaign(self, tmp_path, monkeypatch):
+        from repro.traces import io
+
+        other = WorkloadSpec.make("random", threads=3, seed=1, length=40, pages=8)
+
+        def build(ctx):
+            return [
+                SweepJob(
+                    workload=spec,
+                    config=SimulationConfig(hbm_slots=16, arbitration=arb),
+                    tag=arb,
+                )
+                for spec in (SPEC, other)
+                for arb in ("fifo", "priority", "round_robin")
+            ]
+
+        def reduce(ctx, records):
+            # reducer rebuilds hit the same table as the jobs
+            rebuilt = [ctx.build_workload(r.job.workload) for r in records]
+            return Reduction(
+                rows=[r.row() for r in records],
+                data={"refs": [w.total_references for w in rebuilt]},
+                text="reuse",
+            )
+
+        campaign = Campaign.sweep("reuse", "Workload reuse", build, reduce)
+        cache = tmp_path / "cache"
+        for spec in (SPEC, other):  # generate both once, outside the count
+            spec.build(WorkloadCache(cache))
+        loads = []
+        real_load = io.load_workload_npz
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(io, "load_workload_npz", counting_load)
+        out = campaign.run(processes=1, cache_dir=cache)
+        assert len(loads) == 2  # one per distinct spec: 6 jobs + 6 rebuilds
+
+        # records identical to simulating every job on its own fresh build
+        fields = ("makespan", "requests", "fetches", "evictions", "max_response")
+        for row, job in zip(out.rows, build(None)):
+            result = simulate(job.workload.build(None), job.config)
+            expected = {
+                "makespan": result.makespan,
+                "requests": result.total_requests,
+                "fetches": result.fetches,
+                "evictions": result.evictions,
+                "max_response": result.max_response,
+            }
+            assert {name: row[name] for name in fields} == expected
+        assert out.data["refs"] == [
+            job.workload.build(None).total_references for job in build(None)
+        ]
+
+    def test_shared_workloads_are_read_only(self, tmp_path):
+        from repro.analysis.sweep import WorkloadTable
+
+        table = WorkloadTable()
+        wl = table.get(SPEC)
+        assert table.get(SPEC) is wl
+        with pytest.raises(ValueError):
+            wl.traces[0][0] = 99
+        with pytest.raises(ValueError):
+            wl.source_traces[0].pages[0] = 99
+        table.clear()
+        assert table.get(SPEC) is not wl  # released: the next get rebuilds
+
+    def test_workload_table_releases_least_recently_used(self, monkeypatch):
+        from repro.analysis import sweep
+
+        other = WorkloadSpec.make("random", threads=3, seed=1, length=40, pages=8)
+        third = WorkloadSpec.make("random", threads=2, seed=2, length=40, pages=8)
+        table = sweep.WorkloadTable()
+
+        def nbytes(workload):  # renumbered + source page arrays
+            return 2 * sum(a.nbytes for a in workload.traces)
+
+        wl = table.get(SPEC)
+        wl_other = table.get(other)
+        # room for SPEC + other, not for all three specs
+        monkeypatch.setattr(
+            sweep, "WORKLOAD_TABLE_BYTES", nbytes(wl) + nbytes(wl_other)
+        )
+        assert table.get(SPEC) is wl  # both fit; SPEC is now most recent
+        table.get(third)  # over budget: ``other`` is released, not SPEC
+        assert table.get(SPEC) is wl
+        assert table.get(other) is not wl_other
+        # a single workload over the budget is still kept while in use
+        monkeypatch.setattr(sweep, "WORKLOAD_TABLE_BYTES", 1)
+        assert table.get(SPEC) is table.get(SPEC)
 
     def test_merge_campaign_stats(self, tmp_path):
         a = demo_campaign().run(cache_dir=tmp_path).campaign

@@ -4,8 +4,10 @@ The contract under test (repro.core.drain + the engine hooks): with
 fast-forward enabled, both engines must produce *exactly* the results
 of per-tick execution — makespan, tick count, response histograms and
 logs, eviction/fetch counts, completion ticks, and every probe sample —
-while eliding most of the miss-bound ticks. ``ENGINE_SEMANTICS_VERSION``
-does not change when FF ships; these tests are the enforcement.
+for all 11 policies. Miss windows are elided for FIFO in its pipeline
+steady state only (every other policy declines them once per run);
+hit windows for every policy. ``ENGINE_SEMANTICS_VERSION`` does not
+change when FF ships; these tests are the enforcement.
 """
 
 import dataclasses
@@ -133,16 +135,19 @@ def policy_config(arb, **overrides):
 class TestBitIdentical:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_fifo_channels(self, q):
+        # 8 cores reach the FIFO steady state only when q divides 8; at
+        # q=3 the run must still match while FF stays out of the way.
         cfg = SimulationConfig(hbm_slots=24, channels=q, arbitration="fifo")
-        assert_ff_identical(miss_bound_traces(), cfg)
+        assert_ff_identical(miss_bound_traces(), cfg, expect_ff=8 % q == 0)
 
     @pytest.mark.parametrize(
         "arb", ["priority", "dynamic_priority", "cycle_priority",
                 "cycle_reverse_priority", "interleave_priority"]
     )
     def test_priority_family_with_remap_inside_drains(self, arb):
-        # remap_period=37 forces remap boundaries to land mid-drain, so
-        # the horizon cap (and interval re-entry after it) is exercised.
+        # remap_period=37 lands remap boundaries inside what would be
+        # miss-bound drains; these policies decline miss windows, so FF
+        # must leave the run exactly as the per-tick loop does.
         cfg = SimulationConfig(
             hbm_slots=24,
             channels=2,
@@ -150,7 +155,7 @@ class TestBitIdentical:
             remap_period=37,
             seed=9,
         )
-        assert_ff_identical(miss_bound_traces(), cfg)
+        assert_ff_identical(miss_bound_traces(), cfg, expect_ff=False)
 
     @pytest.mark.parametrize("k", [5, 8, 9, 12, 16])
     def test_tight_hbm_slots_exercise_eviction_feasibility(self, k):
@@ -165,13 +170,17 @@ class TestBitIdentical:
         assert_ff_identical(traces, cfg)
 
     def test_single_thread(self):
+        # one core never fills a FIFO pipeline (it needs 2q cores)
         traces = [list(range(50)) * 4]
         cfg = SimulationConfig(hbm_slots=8)
-        assert_ff_identical(traces, cfg)
+        assert_ff_identical(traces, cfg, expect_ff=False)
 
     def test_wide_channels(self):
+        # 16 cores on 16 channels: fewer than 2q, no steady state
         cfg = SimulationConfig(hbm_slots=64, channels=16, arbitration="fifo")
-        assert_ff_identical(miss_bound_traces(threads=16, pages=8), cfg)
+        assert_ff_identical(
+            miss_bound_traces(threads=16, pages=8), cfg, expect_ff=False
+        )
 
     def test_vector_path_wide_workload(self):
         from repro.core.fastengine import set_vector_threshold
@@ -192,12 +201,89 @@ class TestBitIdentical:
         assert_ff_identical(wl.traces, cfg)
 
 
-class TestCrossRemap:
-    """Plans chain across remap boundaries by replaying the permutation.
+class TestMissWindowContract:
+    """FIFO's steady state is the only miss window; all 11 policies stay
+    bit-identical with FF on, probes and response logs included."""
 
-    ``remap_period=5 < MIN_FF_TICKS=8`` means every plannable window
-    spans at least one boundary — before cross-remap planning these
-    configs could never fast-forward at all.
+    @pytest.fixture
+    def registry(self):
+        from repro.obs import metrics as obs_metrics
+
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_active_registry(registry)
+        yield registry
+        obs_metrics.set_active_registry(previous)
+
+    @staticmethod
+    def _mixed_traces(threads=8):
+        # miss-bound cyclic phases (steady state for FIFO) separated by
+        # cache-fitting loops (hit windows)
+        out = []
+        for i in range(threads):
+            cyc = list(range(100 * i, 100 * i + 12)) * 6
+            loop = list(range(100 * i + 50, 100 * i + 53)) * 20
+            out.append(cyc + loop + cyc)
+        return out
+
+    @pytest.mark.parametrize("arb", ALL_POLICIES)
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_bit_identical_with_probes_and_logs(self, arb, engine_cls):
+        traces = self._mixed_traces()
+        outputs = {}
+        for enabled in (False, True):
+            probe = TimelineProbe()
+            cfg = policy_config(
+                arb,
+                hbm_slots=40,
+                record_responses=True,
+                probes=(probe,),
+                probe_stride=3,
+            )
+            cls = engine_cls if enabled else Simulator
+            outputs[enabled] = (run_with_ff(cls, traces, cfg, enabled), probe)
+        (base, base_probe), (result, probe) = outputs[False], outputs[True]
+        assert_results_equal(result, base)
+        series, base_series = probe.as_arrays(), base_probe.as_arrays()
+        assert series.keys() == base_series.keys()
+        for key in series:
+            np.testing.assert_array_equal(series[key], base_series[key], key)
+
+    @pytest.mark.parametrize("arb", [a for a in ALL_POLICIES if a != "fifo"])
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_non_fifo_makes_one_miss_attempt(self, registry, arb, engine_cls):
+        # the first miss attempt asks for a drain plan, gets None, and
+        # turns the miss prover off for the rest of the run
+        cfg = policy_config(arb, hbm_slots=24)
+        result = run_with_ff(engine_cls, self._mixed_traces(), cfg, True)
+        fam = registry.snapshot()["families"]["repro_ff_plan_attempts"]
+        miss = [
+            value
+            for key, value in fam["series"]
+            if ("window", "miss") in {tuple(pair) for pair in key}
+        ]
+        assert miss == [1]
+        assert result.ticks > 0
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_fifo_engages_in_steady_state(self, engine_cls, q):
+        traces = miss_bound_traces(threads=4 * q, pages=12, repeats=8)
+        cfg = SimulationConfig(hbm_slots=6 * q, channels=q, arbitration="fifo")
+        baseline = run_with_ff(Simulator, traces, cfg, False)
+        result = run_with_ff(engine_cls, traces, cfg, True)
+        assert_results_equal(result, baseline)
+        assert result.ff_intervals > 0
+        assert result.ff_elided_fraction > 0.5
+
+
+class TestCrossRemap:
+    """Remap boundaries inside FF-on runs of the priority family.
+
+    These policies decline miss windows, and hit windows replay every
+    elided remap through ``skip_idle_ticks``. Either way, remap counts
+    and the policy's RNG stream must end up exactly where per-tick
+    execution leaves them. ``remap_period=5 < MIN_FF_TICKS=8`` puts a
+    boundary inside every window the engines could elide.
     """
 
     @pytest.mark.parametrize("arb", REMAPPING_POLICIES)
@@ -206,7 +292,7 @@ class TestCrossRemap:
         cfg = SimulationConfig(
             hbm_slots=24, channels=2, arbitration=arb, remap_period=5, seed=9
         )
-        baseline = assert_ff_identical(miss_bound_traces(), cfg)
+        baseline = assert_ff_identical(miss_bound_traces(), cfg, expect_ff=False)
         assert baseline.remap_count > 0
 
     @pytest.mark.parametrize("arb", REMAPPING_POLICIES)
@@ -222,7 +308,7 @@ class TestCrossRemap:
             seed=11,
         )
         traces = miss_bound_traces(threads=6, pages=10)
-        assert_ff_identical(traces, cfg)
+        assert_ff_identical(traces, cfg, expect_ff=False)
 
 
 class TestHitHeavy:
@@ -414,19 +500,22 @@ class TestGatesAndFallbacks:
     @pytest.mark.parametrize(
         "arb", ["round_robin", "fr_fcfs", "blacklist", "dpq"]
     )
-    def test_stateful_policies_now_plan_miss_windows(self, arb):
-        # round-robin, FR-FCFS, blacklist, and DPQ replay their
-        # deterministic state recurrences inside the plan: miss-bound
-        # runs fast-forward.
+    def test_stateful_policies_decline_miss_windows(self, arb):
+        # round-robin, FR-FCFS, blacklist, and DPQ do not grant in
+        # stored order: a miss-only run never fast-forwards, and stays
+        # bit-identical to per-tick execution.
         cfg = SimulationConfig(
             hbm_slots=24, channels=2, arbitration=arb, seed=3
         )
-        assert_ff_identical(miss_bound_traces(), cfg)
+        for engine_cls in ENGINES:
+            result = run_with_ff(engine_cls, miss_bound_traces(), cfg, True)
+            assert result.ff_intervals == 0
+        assert_ff_identical(miss_bound_traces(), cfg, expect_ff=False)
 
     def test_blacklist_clear_boundary_lands_mid_drain(self):
-        # blacklist_clear_interval=37 forces clearing boundaries inside
-        # planned intervals: the plan's tick_hook must replay each
-        # clear, keeping FF bit-identical to per-tick execution.
+        # blacklist_clear_interval=37 puts clearing boundaries inside
+        # what would be miss-bound drains; blacklist declines miss
+        # windows, and the run must match per-tick execution exactly.
         cfg = SimulationConfig(
             hbm_slots=24,
             channels=2,
@@ -435,7 +524,7 @@ class TestGatesAndFallbacks:
             blacklist_clear_interval=37,
             seed=3,
         )
-        assert_ff_identical(miss_bound_traces(), cfg)
+        assert_ff_identical(miss_bound_traces(), cfg, expect_ff=False)
 
     def test_shared_pages_gate_reference_engine(self):
         # Two threads share page 0: guaranteed-miss windows are invalid,
@@ -601,112 +690,22 @@ class TestEngagementCounters:
 
 
 class TestStatefulPlanOracles:
-    """Plan pop sequences must equal the live policy's select sequence."""
+    """Only FIFO exposes a drain plan; every other policy declines.
 
-    def test_round_robin_plan_matches_live_select(self):
-        from repro.core.arbitration import RoundRobinArbitration
+    The engines ask a policy once per run and drop the refusal, so a
+    declined request must leave every bit of policy state as it was:
+    the asked policy keeps granting exactly like a twin never asked.
+    """
 
-        live = RoundRobinArbitration(8)
-        planned = RoundRobinArbitration(8)
-        for policy in (live, planned):
-            for thread in (2, 5, 7):
-                policy.enqueue(thread)
-            policy.select(2)  # leave the scan pointer mid-cycle
-            for thread in (0, 1, 4):
-                policy.enqueue(thread)
-        plan = planned.drain_plan(3, 1000)
-        assert len(plan) == len(live)
-        pushes = [[3], [], [6, 2], []]
-        got, want = [], []
-        for arrivals in pushes:
-            got.extend(plan.pop(2))
-            want.extend(live.select(2))
-            plan.push(list(arrivals))
-            for thread in arrivals:
-                live.enqueue(thread)
-        while len(plan) or len(live):
-            got.extend(plan.pop(3))
-            want.extend(live.select(3))
-        assert got == want
-        # commit converges the planned policy onto the live state: the
-        # same future arrivals must now be granted in the same order
-        plan.commit()
-        for policy in (live, planned):
-            for thread in (5, 0, 3):
-                policy.enqueue(thread)
-        assert planned.select(8) == live.select(8)
-
-    def test_round_robin_plan_discard_leaves_policy_untouched(self):
-        from repro.core.arbitration import RoundRobinArbitration
-
-        policy = RoundRobinArbitration(4)
-        for thread in (1, 3):
-            policy.enqueue(thread)
-        plan = policy.drain_plan(2, 1000)
-        plan.push([0, 2])
-        # the cyclic scan starts at the pointer (0) and grants in id order
-        assert plan.pop(4) == [0, 1, 2, 3]
-        # no commit: live state is exactly as before the plan existed
-        assert len(policy) == 2
-        assert policy.select(4) == [1, 3]
-
-    def test_frfcfs_plan_matches_live_select(self):
-        from repro.core.arbitration import FRFCFSArbitration
-        from repro.core.dram import DramGeometry
-
-        geometry = DramGeometry(banks=2, row_pages=4)
-        live = FRFCFSArbitration(8, geometry=geometry)
-        planned = FRFCFSArbitration(8, geometry=geometry)
-        # mixed row-hit / row-miss pattern across both banks
-        warm = [(0, 0), (1, 8), (2, 1), (3, 17), (4, 2)]
-        for policy in (live, planned):
-            for thread, page in warm:
-                policy.enqueue(thread, page)
-            policy.select(2)  # open rows diverge from the reset state
-        plan = planned.drain_plan(2, 1000)
-        assert plan.needs_pages
-        assert len(plan) == len(live)
-        pushes = [[(5, 3)], [(6, 9), (7, 16)], []]
-        got, want = [], []
-        for arrivals in pushes:
-            got.extend(plan.pop(2))
-            want.extend(live.select(2))
-            plan.push(
-                [thread for thread, _ in arrivals],
-                [page for _, page in arrivals],
-            )
-            for thread, page in arrivals:
-                live.enqueue(thread, page)
-        while len(plan) or len(live):
-            got.extend(plan.pop(2))
-            want.extend(live.select(2))
-        assert got == want
-        plan.commit()
-        for policy in (live, planned):
-            policy.enqueue(0, 1)  # row-hit status depends on open rows
-            policy.enqueue(1, 5)
-        assert planned.select(2) == live.select(2)
-
-    def test_frfcfs_plan_push_requires_pages(self):
-        from repro.core.arbitration import FRFCFSArbitration
-
-        plan = FRFCFSArbitration(4).drain_plan(2, 1000)
-        with pytest.raises(ValueError):
-            plan.push([0])
-
-    def test_frfcfs_plan_discard_leaves_banks_untouched(self):
-        from repro.core.arbitration import FRFCFSArbitration
-        from repro.core.dram import DramGeometry
-
-        policy = FRFCFSArbitration(4, geometry=DramGeometry(banks=1, row_pages=4))
-        policy.enqueue(0, 0)
-        policy.select(1)  # bank 0 now has row 0 open
-        policy.enqueue(1, 8)   # row 2: a miss...
-        policy.enqueue(2, 1)   # row 0: ...that the open row jumps past
-        plan = policy.drain_plan(1, 1000)
-        assert plan.pop(2) == [2, 1]
-        # no commit: the live queue and open-row state are unchanged
-        assert policy.select(2) == [2, 1]
+    @staticmethod
+    def _assert_twin_grants(asked, twin, arrivals, limit=4):
+        for thread, page in arrivals:
+            asked.enqueue(thread, page)
+            twin.enqueue(thread, page)
+        assert len(asked) == len(twin)
+        while len(twin):
+            assert asked.select(limit) == twin.select(limit)
+        assert len(asked) == 0
 
     def test_random_has_no_drain_plan(self):
         from repro.core.arbitration import RandomArbitration
@@ -715,126 +714,75 @@ class TestStatefulPlanOracles:
         policy.enqueue(1)
         assert policy.drain_plan(2, 1000) is None
 
-    def test_blacklist_plan_matches_live_select(self):
-        from repro.core.arbitration import BlacklistingArbitration
+    def test_round_robin_plan_discard_leaves_policy_untouched(self):
+        from repro.core.arbitration import RoundRobinArbitration
 
-        live = BlacklistingArbitration(8, blacklist_threshold=2)
-        planned = BlacklistingArbitration(8, blacklist_threshold=2)
-        for policy in (live, planned):
-            for thread in (2, 2, 5, 2):
+        asked, twin = RoundRobinArbitration(4), RoundRobinArbitration(4)
+        for policy in (asked, twin):
+            for thread in (1, 3):
                 policy.enqueue(thread)
-            policy.select(2)  # thread 2 streaks to the threshold
-            for thread in (0, 2, 4):
-                policy.enqueue(thread)
-        plan = planned.drain_plan(3, 1000)
-        assert len(plan) == len(live)
-        pushes = [[3], [], [2, 6], []]
-        got, want = [], []
-        for arrivals in pushes:
-            got.extend(plan.pop(2))
-            want.extend(live.select(2))
-            plan.push(list(arrivals))
-            for thread in arrivals:
-                live.enqueue(thread)
-        while len(plan) or len(live):
-            got.extend(plan.pop(3))
-            want.extend(live.select(3))
-        assert got == want
-        # commit converges the planned policy onto the live state: the
-        # same future serves must blacklist the same threads
-        plan.commit()
-        for policy in (live, planned):
-            for thread in (5, 5, 0):
-                policy.enqueue(thread)
-        assert planned.select(8) == live.select(8)
-        assert list(planned._blacklisted) == list(live._blacklisted)
+            policy.select(1)  # the scan pointer moves past thread 1
+        assert asked.drain_plan(2, 1000) is None
+        assert asked._next == twin._next
+        assert len(asked) == 1
+        # the cyclic scan resumes after thread 1: 3 before 0 and 2
+        asked.enqueue(0)
+        twin.enqueue(0)
+        assert asked.select(1) == twin.select(1) == [3]
+        self._assert_twin_grants(asked, twin, [(2, None), (1, None)])
 
-    def test_blacklist_plan_tick_hook_replays_clears(self):
-        from repro.core.arbitration import BlacklistingArbitration
+    def test_frfcfs_plan_discard_leaves_banks_untouched(self):
+        from repro.core.arbitration import FRFCFSArbitration
+        from repro.core.dram import DramGeometry
 
-        live = BlacklistingArbitration(
-            4, blacklist_threshold=1, blacklist_clear_interval=10
+        asked, twin = (
+            FRFCFSArbitration(4, geometry=DramGeometry(banks=1, row_pages=4))
+            for _ in range(2)
         )
-        planned = BlacklistingArbitration(
-            4, blacklist_threshold=1, blacklist_clear_interval=10
-        )
-        for policy in (live, planned):
-            policy.enqueue(3)
-            policy.select(1)  # blacklists 3 immediately
-            for thread in (3, 1):
-                policy.enqueue(thread)
-        plan = planned.drain_plan(1, 1000)
-        got, want = [], []
-        for tau in range(6, 14):  # crosses the clear boundary at 10
-            plan.tick_hook(tau)
-            live.begin_tick(tau)
-            got.extend(plan.pop(1))
-            want.extend(live.select(1))
-            if tau == 8:  # keep 3 deprioritized until the clear
-                plan.push([3])
-                live.enqueue(3)
-        assert got == want
+        for policy in (asked, twin):
+            policy.enqueue(0, 0)
+            policy.select(1)  # bank 0 now has row 0 open
+            policy.enqueue(1, 8)  # row 2: a miss...
+            policy.enqueue(2, 1)  # row 0: ...that the open row jumps past
+        assert asked.drain_plan(1, 1000) is None
+        assert len(asked) == 2
+        assert asked.select(2) == [2, 1]
+        twin.select(2)
+        # the open row (now row 2) decides the next grants identically
+        self._assert_twin_grants(asked, twin, [(0, 2), (3, 9)], limit=1)
 
     def test_blacklist_plan_discard_leaves_policy_untouched(self):
         from repro.core.arbitration import BlacklistingArbitration
 
-        policy = BlacklistingArbitration(4, blacklist_threshold=1)
-        for thread in (1, 3):
-            policy.enqueue(thread)
-        plan = policy.drain_plan(2, 1000)
-        plan.push([0, 2])
-        assert plan.pop(4) == [1, 3, 0, 2]
-        # plan serves blacklisted threads on its copies only
-        assert not policy._blacklisted.any()
-        assert len(policy) == 2
-        assert policy.select(4) == [1, 3]
-
-    def test_dpq_plan_matches_live_select(self):
-        from repro.core.arbitration import DynamicPriorityQueueArbitration
-
-        live = DynamicPriorityQueueArbitration(8)
-        planned = DynamicPriorityQueueArbitration(8)
-        for policy in (live, planned):
-            for thread in (2, 5, 7):
+        asked, twin = (
+            BlacklistingArbitration(4, blacklist_threshold=1) for _ in range(2)
+        )
+        for policy in (asked, twin):
+            for thread in (1, 3):
                 policy.enqueue(thread)
-            policy.select(2)  # slot order diverges from thread-id order
-            for thread in (0, 1, 4):
-                policy.enqueue(thread)
-        plan = planned.drain_plan(3, 1000)
-        assert len(plan) == len(live)
-        pushes = [[3], [], [6, 2], []]
-        got, want = [], []
-        for arrivals in pushes:
-            got.extend(plan.pop(2))
-            want.extend(live.select(2))
-            plan.push(list(arrivals))
-            for thread in arrivals:
-                live.enqueue(thread)
-        while len(plan) or len(live):
-            got.extend(plan.pop(3))
-            want.extend(live.select(3))
-        assert got == want
-        # commit converges the planned policy onto the live slot order
-        plan.commit()
-        for policy in (live, planned):
-            for thread in (5, 0, 3):
-                policy.enqueue(thread)
-        assert planned.select(8) == live.select(8)
-        assert planned._order == live._order
+            policy.select(1)  # threshold 1: thread 1 is now blacklisted
+        assert asked.drain_plan(2, 1000) is None
+        assert asked._blacklisted.tolist() == twin._blacklisted.tolist()
+        assert asked._blacklisted.tolist() == [False, True, False, False]
+        assert (asked._streak_thread, asked._streak) == (
+            twin._streak_thread,
+            twin._streak,
+        )
+        assert len(asked) == 1
+        self._assert_twin_grants(asked, twin, [(1, None), (0, None), (2, None)])
 
     def test_dpq_plan_discard_leaves_policy_untouched(self):
         from repro.core.arbitration import DynamicPriorityQueueArbitration
 
-        policy = DynamicPriorityQueueArbitration(4)
-        for thread in (1, 3):
-            policy.enqueue(thread)
-        plan = policy.drain_plan(2, 1000)
-        plan.push([0, 2])
-        assert plan.pop(4) == [0, 1, 2, 3]
-        # no commit: the live slot order and waiting set are unchanged
-        assert policy._order == [0, 1, 2, 3]
-        assert len(policy) == 2
-        assert policy.select(4) == [1, 3]
+        asked, twin = (DynamicPriorityQueueArbitration(4) for _ in range(2))
+        for policy in (asked, twin):
+            for thread in (1, 3):
+                policy.enqueue(thread)
+            policy.select(1)  # thread 1 drops to the back of the slot order
+        assert asked.drain_plan(2, 1000) is None
+        assert asked._order == twin._order == [0, 2, 3, 1]
+        assert len(asked) == 1
+        self._assert_twin_grants(asked, twin, [(1, None), (0, None), (2, None)])
 
 
 # -- unit tests for the planner helpers -----------------------------------
@@ -853,40 +801,6 @@ class TestTracesDisjoint:
         assert traces_disjoint([np.array([0, 1]), np.array([], dtype=np.int64)])
 
 
-class TestResponseTimes:
-    def test_first_serve_uses_entry_request_tick(self):
-        # core 1 entered waiting since tick 3; served at ticks 10 and 12.
-        order, th, tk, w = response_times(
-            np.array([1, 1]), np.array([10, 12]), np.array([0, 3])
-        )
-        assert th.tolist() == [1, 1]
-        assert w.tolist() == [10 - 3 + 1, 12 - 10]
-
-    def test_thread_major_stable_order(self):
-        serve_threads = np.array([2, 0, 2, 0])
-        serve_ticks = np.array([5, 6, 8, 9])
-        order, th, tk, w = response_times(
-            serve_threads, serve_ticks, np.array([4, 0, 4])
-        )
-        assert th.tolist() == [0, 0, 2, 2]
-        assert tk.tolist() == [6, 9, 5, 8]
-        # first serve per core answers the entry request (w = tk-4+1);
-        # later serves answer consecutive requests (w = tick diff).
-        assert w.tolist() == [3, 3, 2, 3]
-        # the permutation recovers chronological order by scatter
-        chrono = np.empty(4, dtype=np.int64)
-        chrono[order] = w
-        assert chrono.tolist() == [2, 3, 3, 3]
-
-    def test_empty(self):
-        order, th, tk, w = response_times(
-            np.array([], dtype=np.int64),
-            np.array([], dtype=np.int64),
-            np.array([0, 0]),
-        )
-        assert len(order) == len(th) == len(tk) == len(w) == 0
-
-
 class TestPlanDrain:
     def _plan(self, threads=(), horizon=1000):
         from repro.core.arbitration import FIFOArbitration
@@ -896,66 +810,146 @@ class TestPlanDrain:
             policy.enqueue(thread)
         return policy.drain_plan(2, horizon)
 
-    def test_short_interval_rejected(self):
-        sched = plan_drain(
-            self._plan(horizon=MIN_FF_TICKS - 1),
+    def _drain(self, plan, channels=1, avail=10, capacity=8, b=(0, 1), h=()):
+        cores = list(b) + list(h) + plan.snapshot()
+        return plan_drain(
+            plan,
             start=0,
-            channels=2,
-            capacity=8,
-            resident0=0,
-            queue0=0,
-            h_threads=[],
-            b_threads=[0, 1],
-            grant_avail={0: 5, 1: 5},
-            completes={0: True, 1: True},
+            channels=channels,
+            capacity=capacity,
+            resident0=len(h),
+            h_threads=list(h),
+            b_threads=list(b),
+            grant_avail=dict.fromkeys(cores, avail),
+            completes=dict.fromkeys(cores, False),
         )
+
+    def test_short_interval_rejected(self):
+        sched = self._drain(self._plan(horizon=MIN_FF_TICKS - 1), channels=2)
         assert sched is None
 
     def test_simple_two_core_drain(self):
         # Two cores, one channel, plenty of window: strict alternation.
-        sched = plan_drain(
-            self._plan(),
-            start=0,
-            channels=1,
-            capacity=8,
-            resident0=0,
-            queue0=0,
-            h_threads=[],
-            b_threads=[0, 1],
-            grant_avail={0: 4, 1: 4},
-            completes={0: False, 1: False},
-        )
+        sched = self._drain(self._plan(), capacity=64)
         assert sched is not None
         assert sched.start == 0
-        grants = list(zip(sched.grant_ticks, sched.grant_threads))
-        # entry tick grants the first queued core; alternation follows
-        assert grants[0] == (0, 0)
-        assert grants[1] == (1, 1)
+        threads, ticks = sched.grant_events()
+        grants = list(zip(ticks.tolist(), threads.tolist()))
+        # entry tick grants the first entry miss; alternation follows
+        assert grants[:4] == [(0, 0), (1, 1), (2, 0), (3, 1)]
         # each grant at t is served at t+1
-        serves = dict(zip(sched.serve_ticks, sched.serve_threads))
+        serve_threads, serve_ticks = sched.serve_events()
+        serves = dict(zip(serve_ticks.tolist(), serve_threads.tolist()))
         for tick, thread in grants:
             if tick + 1 < sched.end:
                 assert serves[tick + 1] == thread
-        assert sched.total_evictions == 0  # capacity 8 never exceeded
+        assert sched.total_evictions == 0  # capacity 64 never exceeded
+        # one grant left in each window: 9 whole rounds of 2 ticks
+        assert sched.end == 18
+        assert sched.inflight().tolist() == [1]
+
+    def test_grant_serves_match_serve_events(self):
+        # the closed-form per-core serves the engines commit agree with
+        # the event list the probe replay walks
+        sched = self._drain(
+            self._plan(threads=(5,)), channels=2, capacity=64,
+            b=(0, 1, 2), h=(3, 4),
+        )
+        assert sched is not None
+        threads, ticks = sched.serve_events()
+        events = {}
+        for i, tick in zip(threads.tolist(), ticks.tolist()):
+            if tick > sched.start:  # entry hits serve at start
+                events.setdefault(i, []).append(tick)
+        cores, firsts, counts = sched.grant_serves()
+        closed = {
+            i: [first + r * sched.period for r in range(n)]
+            for i, first, n in zip(cores.tolist(), firsts.tolist(), counts.tolist())
+        }
+        assert closed == events
+        assert sorted(cores.tolist()) == [0, 1, 2, 3, 4, 5]
 
     def test_window_exhaustion_bounds_grants(self):
-        sched = plan_drain(
-            self._plan(),
-            start=0,
-            channels=1,
-            capacity=64,
-            resident0=0,
-            queue0=0,
-            h_threads=[],
-            b_threads=[0, 1],
-            grant_avail={0: 2, 1: 2},
-            completes={0: False, 1: False},
+        sched = self._drain(self._plan(), channels=1, avail=6, capacity=64)
+        assert sched is not None
+        threads, _ = sched.grant_events()
+        counts = np.bincount(threads, minlength=2)
+        # every core keeps at least one window grant for the live loop
+        assert counts.tolist() == [5, 5]
+
+    def test_steady_state_preconditions(self):
+        # fewer than 2q cores, or a core count q does not divide, has
+        # no closed-form stream
+        assert self._drain(self._plan(), channels=2) is None
+        assert self._drain(self._plan(), channels=2, b=(0, 1, 2)) is None
+        assert self._drain(self._plan(), channels=2, b=(0, 1, 2, 3)) is not None
+
+    def test_eviction_feasibility_trims_rounds(self):
+        # capacity 2 with 2 entry hits and q=2 cores arriving: every
+        # tick's eviction would need a protected page
+        sched = self._drain(
+            self._plan(), channels=2, capacity=2, b=(0, 1), h=(2, 3)
         )
-        if sched is not None:
-            counts = np.bincount(
-                np.asarray(sched.grant_threads, dtype=np.int64), minlength=2
-            )
-            assert counts[0] <= 2 and counts[1] <= 2
+        assert sched is None
+
+
+class TestResponseTimes:
+    """drain.response_times: the waits of each core's periodic serves."""
+
+    def test_first_serve_uses_entry_request_tick(self):
+        # core 1 waiting since tick 3; served at ticks 10 and 12
+        w = response_times(np.array([10]), np.array([2]), np.array([3]), 2)
+        assert w.tolist() == [10 - 3 + 1, 12 - 10]
+
+    def test_thread_major_stable_order(self):
+        # waits come grouped per core in input order, each core's
+        # chronologically; a core with no serve inside contributes none
+        w = response_times(
+            np.array([5, 6, 7]), np.array([2, 0, 3]), np.array([4, 0, 6]), 3
+        )
+        assert w.tolist() == [5 - 4 + 1, 3, 7 - 6 + 1, 3, 3]
+
+    def test_thread_major_order_matches_serve_events(self):
+        from repro.core.arbitration import FIFOArbitration
+
+        policy = FIFOArbitration(8)
+        policy.enqueue(5)
+        start, b, h = 10, [0, 1, 2], [3, 4]
+        cores = b + h + [5]
+        sched = plan_drain(
+            policy.drain_plan(2, 1000),
+            start=start,
+            channels=2,
+            capacity=64,
+            resident0=len(h),
+            h_threads=h,
+            b_threads=b,
+            grant_avail=dict.fromkeys(cores, 10),
+            completes=dict.fromkeys(cores, False),
+        )
+        assert sched is not None
+        # entry requests: misses waiting since various ticks; an entry
+        # hit serves at start and requests again on start + 1
+        entry = {0: 7, 1: 9, 2: 10, 5: 4, 3: start + 1, 4: start + 1}
+        threads, ticks = sched.serve_events()
+        want = {}
+        for i, tick in zip(threads.tolist(), ticks.tolist()):
+            if tick > start:
+                prev = want.setdefault(i, [entry[i] - 1])
+                prev.append(tick)
+        order, firsts, counts = sched.grant_serves()
+        w = response_times(
+            firsts, counts, np.array([entry[i] for i in order.tolist()]),
+            sched.period,
+        )
+        expected = np.concatenate(
+            [np.diff(want[i]) for i in order.tolist()]
+        )
+        assert w.tolist() == expected.tolist()
+
+    def test_empty(self):
+        empty = np.array([], dtype=np.int64)
+        assert len(response_times(empty, empty, empty, 4)) == 0
 
 
 # -- property-based: FF differential on random disjoint workloads ----------

@@ -127,14 +127,16 @@ class TestHandCases:
     )
     @pytest.mark.parametrize("q", [1, 2, 4])
     def test_adversarial_fifo_family_matrix(self, arb, q):
-        # Miss-bound cyclic workload: the fast-forward's home turf. The
-        # full ref-vs-fast battery must hold with FF engaged end to end.
+        # Miss-bound cyclic workload: the full ref-vs-fast battery must
+        # hold. FIFO reaches its pipeline steady state (and FF engages)
+        # when q divides the 6 cores; the other policies decline miss
+        # windows and are stepped tick by tick.
         wl = make_workload("adversarial_cycle", threads=6, pages=10, repeats=5)
         cfg = SimulationConfig(
             hbm_slots=20, channels=q, arbitration=arb, remap_period=37, seed=2
         )
         fast = assert_identical(wl.traces, cfg)
-        if arb in ("fifo", "priority"):
+        if arb == "fifo" and 6 % q == 0:
             assert fast.ff_intervals > 0
 
 

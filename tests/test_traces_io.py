@@ -7,6 +7,7 @@ per-thread blocks — the sharing the family exists to model disappears
 and every downstream contention number is quietly wrong.
 """
 
+import json
 import multiprocessing
 
 import numpy as np
@@ -145,6 +146,56 @@ class TestRoundTripProperties:
         loaded = load_workload_npz(path)
         assert_same_workload(loaded, wl)
         assert loaded.name == wl.name
+
+
+class TestNpzLayout:
+    """One concatenated page array plus offsets; other layouts refused."""
+
+    def test_round_trip_stores_one_page_array(self, tmp_path):
+        wl = make_workload("random", 5, seed=2, length=50, pages=9)
+        path = tmp_path / "w.npz"
+        save_workload_npz(wl, path)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["meta_json", "offsets", "pages"]
+            offsets = data["offsets"]
+            assert offsets.tolist() == [0, 50, 100, 150, 200, 250]
+            assert len(data["pages"]) == 250
+        loaded = load_workload_npz(path)
+        assert_same_workload(loaded, wl)
+        assert [t.source for t in loaded.source_traces] == [
+            t.source for t in wl.source_traces
+        ]
+        assert [dict(t.params) for t in loaded.source_traces] == [
+            dict(t.params) for t in wl.source_traces
+        ]
+
+    def test_old_per_thread_layout_raises(self, tmp_path):
+        # the layout before NPZ_FORMAT 2: one zip member per thread and
+        # no format field in the metadata
+        path = tmp_path / "old.npz"
+        meta = {
+            "name": "old",
+            "threads": 2,
+            "namespace": True,
+            "sources": ["a", "b"],
+            "params": [{}, {}],
+        }
+        np.savez_compressed(
+            path,
+            trace_0=np.arange(3),
+            trace_1=np.arange(4),
+            meta_json=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        )
+        with pytest.raises(ValueError, match="format"):
+            load_workload_npz(path)
+
+    def test_cache_key_carries_the_format(self, tmp_path, monkeypatch):
+        from repro.traces import io
+
+        cache = WorkloadCache(tmp_path)
+        current = cache.path_for("random", 4, seed=3, length=20, pages=4)
+        monkeypatch.setattr(io, "NPZ_FORMAT", io.NPZ_FORMAT + 1)
+        assert cache.path_for("random", 4, seed=3, length=20, pages=4) != current
 
 
 def _concurrent_get(directory, barrier):
